@@ -6,9 +6,9 @@ Three guards, all on the seeded SMOKE training cycle:
   ``obs.monitor`` span, so its exact cost is known; the span total must stay
   under ``OVERHEAD_BUDGET`` (5%) of the monitored fit's wall-clock.  This is
   the precise guard: it cannot be fooled by machine noise;
-* **paired wall-clock** — the same fit timed with monitors off and on (after a
-  warmup fit, best-of-2 per condition to damp allocator/cache jitter) must
-  also stay within the 5% budget end to end, catching overhead that escapes
+* **paired wall-clock** — the same fit timed at telemetry level ``on``
+  (monitors off) and ``full`` (monitors on), after a warmup fit, best-of-2
+  per condition to damp allocator/cache jitter, must also stay within the 5% budget end to end, catching overhead that escapes
   the span (event serialisation, cadence bookkeeping);
 * **absolute floor** — monitored throughput must stay within
   ``SLOWDOWN_BUDGET``× of the committed ``BENCH_training.json`` baseline, the
@@ -29,7 +29,7 @@ import pytest
 
 from repro import nn, telemetry
 from repro.experiments.configs import SMOKE
-from repro.obs import events
+from repro.telemetry import events
 from repro.telemetry import metrics as telemetry_metrics
 
 pytestmark = pytest.mark.obs
@@ -68,13 +68,13 @@ def _smoke_fit():
 
 @pytest.fixture(scope="module")
 def paired_runs():
-    """Warmup, then the same seeded fit twice per condition (off/on)."""
+    """Warmup, then the same seeded fit twice per condition (level on/full)."""
     events.set_event_log(events.EventLog())
-    with events.disabled():
+    with telemetry_metrics.at_level(telemetry_metrics.ON):
         _smoke_fit()  # warmup: page caches, lazy imports, allocator pools
         off_a = _smoke_fit()
         off_b = _smoke_fit()
-    with events.enabled():
+    with telemetry_metrics.at_level(telemetry_metrics.FULL):
         on_a = _smoke_fit()
         on_b = _smoke_fit()
     monitor_events = events.get_event_log().events(kind="monitor")

@@ -3,9 +3,9 @@
 Three guards on the serving stack's tracing plane:
 
 * **fresh overhead** — the same request-interleaved traced-vs-untraced phase
-  ``repro load-bench`` records (mint a TraceContext + ingress span per
-  request vs the pre-tracing status quo) run against a freshly trained
-  bundle: the best-round traced/untraced p50 ratio must stay within
+  ``repro load-bench`` records (mint a trace id, activate it with
+  ``trace_scope`` and open an ingress span per request vs the pre-tracing
+  status quo) run against a freshly trained bundle: the best-round traced/untraced p50 ratio must stay within
   ``OVERHEAD_BUDGET`` (5%).  Interleaving the conditions request by request
   keeps machine drift out of the ratio, so a failure here means the tracing
   path itself got more expensive;

@@ -777,7 +777,8 @@ def _command_verify(args) -> int:
 
 
 def _command_report(args) -> int:
-    from .obs import build_report, read_events, render_report, run_smoke_report
+    from .telemetry.events import read_events
+    from .telemetry.report import build_report, render_report, run_smoke_report
 
     if args.events is not None:
         report = build_report(read_events(args.events), bench_dir=args.bench_dir)

@@ -24,8 +24,7 @@ import numpy as np
 from ..autograd import Tensor, ops
 from ..nn import Linear, Module
 from ..nn.functional import gaussian_kl, gaussian_nll, l2_distance
-from ..obs.events import emit as obs_emit
-from ..telemetry import span
+from ..telemetry import events, span
 
 __all__ = ["ExtendedVAE"]
 
@@ -147,5 +146,5 @@ class ExtendedVAE(Module):
         """Deterministic preference embedding for cold nodes: decode(μ_φ(x))."""
         with span("evae.generate"):
             recon, _, _ = self.forward(x, sample=False)
-            obs_emit("evae.generate", rows=int(recon.data.shape[0]), latent_dim=self.latent_dim)
+            events.emit("evae.generate", rows=int(recon.data.shape[0]), latent_dim=self.latent_dim)
             return recon

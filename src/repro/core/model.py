@@ -34,8 +34,7 @@ from ..graphs import (
     build_knn_graph,
 )
 from ..nn.functional import mse_loss
-from ..obs.events import emit as obs_emit
-from ..telemetry import increment, set_gauge, span
+from ..telemetry import events, increment, set_gauge, span
 from ..train.recommender import Recommender
 from .cold_modules import CorruptionStrategy, make_cold_module
 from .config import AGNNConfig
@@ -356,7 +355,7 @@ class AGNN(Recommender):
                 generated = self._cold_module(side).generate(attr_embed)
             matrix[cold] = generated if generated is not None else 0.0
             increment("agnn.cold_nodes_generated", len(cold))
-            obs_emit("agnn.generate_cold", side=side, cold_nodes=int(len(cold)))
+            events.emit("agnn.generate_cold", side=side, cold_nodes=int(len(cold)))
         self._inference_pref[side] = matrix
         return matrix
 

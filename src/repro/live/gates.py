@@ -4,8 +4,8 @@ The continuous loop only promotes a refresh that passes two families of
 checks, both reusing existing observability machinery rather than inventing
 new judges:
 
-* **training health** — the ``repro.obs`` monitors run once against the
-  refreshed model: :class:`NaNWatchdog` (non-finite weights),
+* **training health** — the :mod:`repro.train.monitors` health monitors run
+  once against the refreshed model: :class:`NaNWatchdog` (non-finite weights),
   :class:`GateSaturationMonitor` (dead gated-GNN gates) and
   :class:`KLCollapseMonitor` (eVAE posterior state).  The KL magnitude is
   recorded alongside the parent's own KL for comparison but does *not* veto
@@ -32,15 +32,14 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..autograd import no_grad
-from ..obs import events as obs_events
-from ..obs.monitors import (
+from ..serving.engine import InferenceEngine
+from ..telemetry import events, span
+from ..train.monitors import (
     GateSaturationMonitor,
     KLCollapseMonitor,
     NaNWatchdog,
     TrainingHealthError,
 )
-from ..serving.engine import InferenceEngine
-from ..telemetry import span
 
 __all__ = ["GateConfig", "PromotionDecision", "evaluate_promotion"]
 
@@ -185,7 +184,7 @@ def evaluate_promotion(
                     )
 
     decision.accepted = not decision.reasons
-    obs_events.emit(
+    events.emit(
         "live.promotion",
         accepted=decision.accepted,
         reasons=decision.reasons,

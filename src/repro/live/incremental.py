@@ -32,8 +32,7 @@ from ..graphs import DynamicNeighborGraph, FixedNeighborGraph, NeighborGraph
 from ..graphs.candidates import CandidateIndex, default_budgets
 from ..graphs.construction import _extend_pools_from_rows
 from ..nn.functional import cosine_similarity_matrix
-from ..obs import events as obs_events
-from ..telemetry import increment, span
+from ..telemetry import events, increment, span
 from ..train.recommender import TrainConfig
 
 __all__ = [
@@ -286,7 +285,7 @@ def run_incremental_fit(
             bundle, dataset.user_attributes, dataset.item_attributes, model.config
         )
         history = model.fit(task, config)
-    obs_events.emit(
+    events.emit(
         "live.refresh_fit",
         parent_fingerprint=bundle.fingerprint,
         parent_version=bundle.version,

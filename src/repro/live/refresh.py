@@ -23,8 +23,7 @@ from typing import Optional
 import numpy as np
 
 from ..data.dataset import RatingDataset
-from ..obs import events as obs_events
-from ..telemetry import increment, span
+from ..telemetry import events, increment, span
 from .gates import GateConfig, PromotionDecision, evaluate_promotion
 from .store import BundleStore
 from .swap import SwapReport, swap_bundle
@@ -171,7 +170,7 @@ def run_refresh(
         if not decision.accepted:
             increment("live.refresh.rejected")
             increment("serve.swap.rejected")
-            obs_events.emit(
+            events.emit(
                 "live.refresh_rejected",
                 parent_version=bundle.version,
                 reasons=decision.reasons,

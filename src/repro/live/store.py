@@ -21,9 +21,8 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..obs import events as obs_events
 from ..serving.bundle import ServingBundle, bundle_fingerprint, export_bundle, load_bundle
-from ..telemetry import increment
+from ..telemetry import events, increment
 
 __all__ = ["BundleStore", "BundleIntegrityError"]
 
@@ -125,7 +124,7 @@ class BundleStore:
         index["latest"] = version
         self._write_index(index)
         increment("live.store.published")
-        obs_events.emit(
+        events.emit(
             "live.publish",
             version=version,
             parent_version=parent_version,

@@ -25,10 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..obs import events as obs_events
 from ..serving.bundle import ServingBundle
 from ..serving.engine import InferenceEngine
-from ..telemetry import increment, span
+from ..telemetry import events, increment, span
 
 __all__ = ["SwapValidationError", "SwapReport", "validate_engine", "swap_bundle"]
 
@@ -116,7 +115,7 @@ def swap_bundle(
             validated = validate_engine(engine, pairs=validate_pairs)
         except SwapValidationError as exc:
             increment("serve.swap.rejected")
-            obs_events.emit(
+            events.emit(
                 "serve.swap_rejected",
                 fingerprint=bundle.fingerprint,
                 version=bundle.version,
@@ -157,7 +156,7 @@ def _swap_bundle_pool(target, pool, bundle: ServingBundle, validate_pairs: int) 
             swap(bundle.path, validate_pairs=validate_pairs)
         except SwapValidationError as exc:
             increment("serve.swap.rejected")
-            obs_events.emit(
+            events.emit(
                 "serve.swap_rejected",
                 fingerprint=bundle.fingerprint,
                 version=bundle.version,

@@ -58,8 +58,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..obs import events as obs_events
-from ..telemetry import increment, record_timing, set_gauge, tracing
+from ..telemetry import events, increment, record_timing, set_gauge, tracing
 from ..telemetry.tracing import span
 from .engine import InferenceEngine
 
@@ -150,7 +149,7 @@ class BatchingEngine:
                 target=self._run, name="repro-batching", daemon=True
             )
             self._thread.start()
-        obs_events.emit("serve.batching_start", max_queue_depth=self.max_queue_depth)
+        events.emit("serve.batching_start", max_queue_depth=self.max_queue_depth)
 
     def stop(self, drain: bool = True, timeout: Optional[float] = 10.0) -> None:
         """Stop accepting work and shut the drain thread down.
@@ -179,7 +178,7 @@ class BatchingEngine:
             request.future.set_exception(RuntimeError("batching engine stopped"))
         if thread is not None and thread is not threading.current_thread():
             thread.join(timeout)
-        obs_events.emit("serve.batching_stop", drained=drain)
+        events.emit("serve.batching_stop", drained=drain)
 
     def shutdown(self, drain: bool = True, timeout: Optional[float] = 10.0) -> None:
         """Idempotent terminal stop, safe from ``atexit`` and signal handlers.
@@ -391,7 +390,7 @@ class BatchingEngine:
             # so only the culprit carries the error.
             self._fallbacks += 1
             increment("serve.batch.fallbacks")
-            obs_events.emit(
+            events.emit(
                 "serve.batch_fallback",
                 requests=len(run),
                 request_ids=[r.trace[2] for r in run if r.trace is not None],
@@ -432,7 +431,7 @@ class BatchingEngine:
                 self.engine = new_engine
                 self._swaps += 1
                 increment("serve.swap.count")
-                obs_events.emit(
+                events.emit(
                     "serve.swap",
                     fingerprint=new_engine.bundle.fingerprint,
                     version=new_engine.bundle.version,

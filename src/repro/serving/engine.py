@@ -35,8 +35,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ..graphs.candidates import CandidateIndex, default_budgets
-from ..obs import events as obs_events
-from ..telemetry import increment, set_gauge, span
+from ..telemetry import events, increment, set_gauge, span
 from .bundle import ServingBundle
 from .onboarding import encode_attribute_row, splice_neighbours
 
@@ -154,7 +153,7 @@ class InferenceEngine:
         from ..verify.invariants import maybe_verify_engine
 
         maybe_verify_engine(self)
-        obs_events.emit(
+        events.emit(
             "serve.engine_start",
             fingerprint=bundle.fingerprint,
             users=self.num_users,
@@ -441,7 +440,7 @@ class InferenceEngine:
             self._cache.clear()
             increment(f"serve.onboarded.{side}s")
             set_gauge(f"serve.nodes.{side}", float(self.count(side)))
-            obs_events.emit(
+            events.emit(
                 "serve.onboard",
                 side=side,
                 node_id=new_id,

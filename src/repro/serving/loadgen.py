@@ -38,7 +38,8 @@ recording machine actually had cores to scale onto.
 
 A fourth phase (schema v3) measures **tracing overhead**: the same direct
 scoring workload with and without a per-request
-:class:`~repro.obs.trace.TraceContext` + ingress span, best-of-N p50s, plus
+trace (a fresh trace id activated with ``tracing.trace_scope``) + ingress
+span, best-of-N p50s, plus
 span-loss accounting — the numbers ``benchmarks/test_trace_overhead.py``
 gates at ≤5% overhead and zero dropped spans.
 
@@ -391,19 +392,17 @@ def _tracing_phase(
     """Traced vs untraced p50 on the direct scoring path, request-interleaved.
 
     *Untraced* is the pre-tracing status quo — telemetry on, no trace context,
-    no ingress span.  *Traced* mints a :class:`~repro.obs.trace.TraceContext`
-    per request and wraps the score in the ingress ``serve.request`` span,
-    exactly what the HTTP front door now does.  The two conditions alternate
-    request by request within each round, so machine drift (CPU frequency,
-    co-tenants, GC) lands on both distributions equally instead of being
-    misattributed to tracing; ``overhead_x`` is the smallest traced/untraced
+    no ingress span.  *Traced* mints a trace id per request, activates it
+    with :class:`~repro.telemetry.tracing.trace_scope` and wraps the score
+    in the ingress ``serve.request`` span, exactly what the HTTP front door
+    does.  The two conditions alternate request by request within each
+    round, so machine drift (CPU frequency, co-tenants, GC) lands on both
+    distributions equally instead of being misattributed to tracing; ``overhead_x`` is the smallest traced/untraced
     p50 ratio over ``repeats`` rounds.  This is the number the
     ``benchmarks/test_trace_overhead.py`` tripwire gates at ≤5%; span records
     are reset first so ``span_dropped`` counts loss caused by *this phase*,
     not earlier load cells filling the ring.
     """
-    from ..obs.trace import TraceContext, trace_scope
-
     slices = _request_slices(users, items, pairs_per_request)
     n = max(1, int(requests))
 
@@ -416,7 +415,7 @@ def _tracing_phase(
             engine.score(u, i)
             untraced[idx] = time.perf_counter() - t0
             t0 = time.perf_counter()
-            with trace_scope(TraceContext.mint(f"load-{idx}")):
+            with tracing.trace_scope((tracing.new_trace_id(), "", f"load-{idx}")):
                 with tracing.span("serve.request"):
                     engine.score(u, i)
             traced[idx] = time.perf_counter() - t0

@@ -36,11 +36,11 @@ POST   /items        symmetric → ``{"item": new_id}`` (201)
 
 Request-level observability: every request gets a per-process request id,
 echoed as the ``X-Request-ID`` response header and embedded in every error
-body, plus a freshly minted distributed :class:`~repro.obs.trace.TraceContext`
-(echoed as ``X-Trace-ID``) that follows the request through the batching
-queue and worker pipes.  Every request runs inside a ``serve.request`` span, bumps
-``serve.requests``, and records its latency in the per-route
-``serve.route_latency.<route>`` histogram.  Client errors bump
+body, plus a freshly minted distributed trace id (echoed as ``X-Trace-ID``;
+see :mod:`repro.telemetry.tracing`) that follows the request through the
+batching queue and worker pipes.  Every request runs inside a
+``serve.request`` span, bumps ``serve.requests``, and records its latency in
+the per-route ``serve.route_latency.<route>`` histogram.  Client errors bump
 ``serve.request_errors`` plus ``serve.route_errors.<route>``; *unexpected*
 handler exceptions are converted to a JSON 500 carrying the request id and
 bump ``serve.errors`` — the server never drops the connection on a bug.
@@ -67,9 +67,10 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple, Union
+from urllib.parse import parse_qs, urlparse
 
-from ..obs.trace import TraceContext, trace_scope
-from ..telemetry import increment, record_timing, snapshot, span
+from ..telemetry import get_registry, increment, record_timing, snapshot, span, tracing
+from ..telemetry.export import chrome_trace, render_fleet, render_prometheus
 from .batching import BatchingEngine, EngineOverloadedError
 from .engine import InferenceEngine
 from .workers import PoolStoppedError, WorkerCrashedError, WorkerPool
@@ -140,8 +141,8 @@ class _Handler(BaseHTTPRequestHandler):
         # Ingress is where the distributed trace is minted: everything this
         # request touches downstream — the batching queue, worker pipes,
         # engine spans in other processes — inherits this identity.
-        ctx = TraceContext.mint(request_id)
-        with trace_scope(ctx), span("serve.request") as request_span:
+        trace_id = tracing.new_trace_id()
+        with tracing.trace_scope((trace_id, "", request_id)), span("serve.request") as request_span:
             request_span.annotate(route=route)
             try:
                 status, payload = handler()
@@ -173,7 +174,7 @@ class _Handler(BaseHTTPRequestHandler):
         record_timing(f"serve.route_latency.{route}", time.perf_counter() - started)
         if status >= 400:
             increment(f"serve.route_errors.{route}")
-        self._reply(status, payload, request_id=request_id, trace_id=ctx.trace_id)
+        self._reply(status, payload, request_id=request_id, trace_id=trace_id)
 
     # ------------------------------------------------------------------ routes
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
@@ -221,15 +222,8 @@ class _Handler(BaseHTTPRequestHandler):
         return 200, snapshot(note="serve.metrics")
 
     def _get_metrics_prom(self) -> Tuple[int, str]:
-        # Imported at call time: repro.obs pulls in the report layer, which the
-        # serving module should not require just to import.
-        from ..obs.prometheus import render_prometheus
-
         pool = self.server.pool
         if pool is not None:
-            from ..obs.fleet import render_fleet
-            from ..telemetry import get_registry
-
             return 200, render_fleet(get_registry(), pool.collect_telemetry())
         return 200, render_prometheus()
 
@@ -239,18 +233,13 @@ class _Handler(BaseHTTPRequestHandler):
         Optional ``?trace_id=`` / ``?request_id=`` query parameters narrow
         the timeline to one request flow.
         """
-        from urllib.parse import parse_qs, urlparse
-
-        from ..obs.fleet import chrome_trace
-        from ..telemetry.tracing import export_spans
-
         query = parse_qs(urlparse(self.path).query)
         trace_id = query.get("trace_id", [None])[0]
         request_id = query.get("request_id", [None])[0]
         pool = self.server.pool
         worker_snaps = pool.collect_telemetry() if pool is not None else []
         return 200, chrome_trace(
-            export_spans(), worker_snaps, trace_id=trace_id, request_id=request_id
+            tracing.export_spans(), worker_snaps, trace_id=trace_id, request_id=request_id
         )
 
     def _post_score(self) -> Tuple[int, Dict[str, Any]]:

@@ -58,8 +58,8 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..obs import events as obs_events
-from ..telemetry import increment, record_timing, set_gauge, span, tracing
+from ..telemetry import events, increment, record_timing, set_gauge, span, tracing
+from ..telemetry.export import worker_snapshot
 from .batching import BatchingEngine, EngineOverloadedError
 
 __all__ = ["WorkerPool", "WorkerCrashedError", "PoolStoppedError"]
@@ -173,8 +173,6 @@ def _worker_main(worker_id: int, bundle_path: str, conn, options: Dict[str, Any]
                     user, k, exclude_seen = message[3], message[4], message[5]
                     reply_when_done(req_id, batching.submit_top_n(user, k, exclude_seen))
                 elif kind == "telemetry":
-                    from ..obs.fleet import worker_snapshot
-
                     max_spans = int(message[3])
                     send(("res", req_id, True, worker_snapshot(max_spans=max_spans)))
                 elif kind == "onboard":
@@ -352,7 +350,7 @@ class WorkerPool:
         except BaseException:
             self.shutdown(drain=False, timeout=5.0)
             raise
-        obs_events.emit("serve.pool_start", workers=workers, bundle=str(self.bundle_path))
+        events.emit("serve.pool_start", workers=workers, bundle=str(self.bundle_path))
 
     # ------------------------------------------------------------- spawn/reap
     def _spawn(self, index: int, bundle_path: str) -> _Worker:
@@ -457,7 +455,7 @@ class WorkerPool:
                 elif plan_swap is not None:
                     replayed_seq = plan_swap[0]
         except BaseException as exc:
-            obs_events.emit("serve.pool_respawn_failed", worker=index, error=str(exc))
+            events.emit("serve.pool_respawn_failed", worker=index, error=str(exc))
             raise
 
     def _receive_loop(self, worker: _Worker) -> None:
@@ -510,7 +508,7 @@ class WorkerPool:
             pass
         if planned:
             return
-        obs_events.emit(
+        events.emit(
             "serve.pool_worker_exit",
             worker=worker.index,
             pid=worker.pid,
@@ -782,7 +780,7 @@ class WorkerPool:
     def collect_telemetry(self, timeout: float = 10.0, max_spans: int = 5000) -> List[Dict[str, Any]]:
         """Harvest each live worker's telemetry snapshot over the pipe protocol.
 
-        Returns one :func:`repro.obs.fleet.worker_snapshot` dict per worker
+        Returns one :func:`repro.telemetry.export.worker_snapshot` dict per worker
         that answered in time — counters, gauges, histogram states, recent
         span records and the span-drop count.  Read-only and per-worker
         fault-tolerant: a down or stalled worker is simply absent from the
@@ -872,7 +870,7 @@ class WorkerPool:
                 worker.conn.close()
             except OSError:
                 pass
-        obs_events.emit("serve.pool_stop", drained=drain, respawns=self._respawns)
+        events.emit("serve.pool_stop", drained=drain, respawns=self._respawns)
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -1,39 +1,64 @@
-"""Dependency-free telemetry: metrics, spans, an autograd profiler, reports.
+"""Dependency-free telemetry: the one observability plane.
 
-The observability layer for the whole system.  Four pieces:
+One switch, ``REPRO_TELEMETRY``, with three levels (read once at import;
+:func:`set_level` / :func:`at_level` override it per process):
 
-* :mod:`~repro.telemetry.metrics` — thread-safe counters, gauges and
-  ring-buffer timing histograms behind a global registry, with a
-  ``REPRO_TELEMETRY`` off-switch and near-zero disabled overhead;
+======== ================================================================
+``off``  ``0``/``off``/``false``/``no``/``disabled``: nothing is recorded
+``on``   the default (unset or any other value): counters, gauges,
+         histograms, spans and traces
+``full`` ``on`` plus the JSONL event log and the training-health monitors
+======== ================================================================
+
+The pieces:
+
+* :mod:`~repro.telemetry.metrics` — the switch, plus thread-safe counters,
+  gauges and ring-buffer timing histograms behind a global registry;
 * :mod:`~repro.telemetry.tracing` — ``span(name)`` context manager /
-  decorator producing nestable wall-clock spans with a flat export;
+  decorator producing nestable wall-clock spans with a flat export, and the
+  distributed-trace wire triple that follows a request across processes;
+* :mod:`~repro.telemetry.events` — the JSONL :class:`EventLog` with per-run
+  manifests (level ``full``; file path from ``REPRO_TELEMETRY_LOG``);
+* :mod:`~repro.telemetry.export` — Prometheus exposition, the fleet-wide
+  merge of per-worker snapshots and Chrome trace JSON;
 * :mod:`~repro.telemetry.profiler` — :class:`AutogradProfiler`, which meters
   every autograd primitive (counts, forward/backward time, allocation);
 * :mod:`~repro.telemetry.report` — JSON snapshots (the
-  ``BENCH_telemetry.json`` schema) and a human-readable table.
+  ``BENCH_telemetry.json`` schema), a human-readable table and the
+  ``repro report`` health report.
 
-Instrumentation must never change numerics: spans and counters read the clock,
-never the RNG, and the determinism suite verifies predictions are bit-identical
-with telemetry on and off.
+The training-health monitors read numpy arrays and the autograd engine, so
+they live in :mod:`repro.train.monitors`; this package imports only the
+standard library.
+
+Instrumentation must never change numerics: spans, counters and events read
+the clock, never the RNG, and the determinism suite verifies predictions are
+bit-identical at every level.
 """
 
-from . import metrics, profiler, report, tracing
+from . import events, export, metrics, profiler, report, tracing
 from .bench import run_telemetry_bench
 from .metrics import (
     ENV_VAR,
+    FULL,
+    OFF,
+    ON,
     Counter,
     Gauge,
     MetricsRegistry,
     TimingHistogram,
+    at_level,
     disabled,
     enabled,
     get_registry,
     increment,
     is_enabled,
+    is_full,
+    level,
     record_timing,
     reset,
-    set_enabled,
     set_gauge,
+    set_level,
 )
 from .profiler import AutogradProfiler, active_profiler
 from .report import render, snapshot, write_snapshot
@@ -44,13 +69,18 @@ from .tracing import (
     deactivate_trace,
     dropped_records,
     export_spans,
+    new_trace_id,
     reset_spans,
     span,
     span_summaries,
+    trace_scope,
 )
 
 __all__ = [
     "ENV_VAR",
+    "OFF",
+    "ON",
+    "FULL",
     "Counter",
     "Gauge",
     "MetricsRegistry",
@@ -62,14 +92,19 @@ __all__ = [
     "current_trace",
     "activate_trace",
     "deactivate_trace",
+    "new_trace_id",
+    "trace_scope",
     "export_spans",
     "dropped_records",
     "span_summaries",
     "reset_spans",
     "get_registry",
     "reset",
+    "level",
+    "set_level",
+    "at_level",
     "is_enabled",
-    "set_enabled",
+    "is_full",
     "enabled",
     "disabled",
     "increment",
@@ -79,6 +114,8 @@ __all__ = [
     "write_snapshot",
     "render",
     "run_telemetry_bench",
+    "events",
+    "export",
     "metrics",
     "tracing",
     "profiler",

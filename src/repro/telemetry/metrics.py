@@ -4,16 +4,20 @@ This module is deliberately dependency-free (stdlib only): telemetry must be
 importable everywhere — including the autograd layer — without creating import
 cycles or pulling numerical dependencies into the observability path.
 
-The whole subsystem sits behind an on/off switch:
+The whole package sits behind one switch with three levels, read from the
+``REPRO_TELEMETRY`` environment variable once at import:
 
-* the ``REPRO_TELEMETRY`` environment variable (``0``/``off``/``false``
-  disables it; anything else, including unset, leaves it enabled);
-* :func:`set_enabled` overrides the environment for the current process
-  (``None`` restores environment control);
-* :func:`disabled` / :func:`enabled` are scoped context-manager overrides.
+* ``off`` — ``0``/``off``/``false``/``no``/``disabled``: nothing is recorded;
+* ``on`` — the default (unset, ``1``, ``on`` or any other value): counters,
+  gauges, histograms and spans;
+* ``full`` — ``on`` plus the JSONL event log and the training-health monitors.
 
-When disabled, every recording helper returns after a single flag check, so
-the instrumentation scattered through the hot paths costs near nothing.
+:func:`set_level` changes the level for the current process (``None``
+re-reads the environment); :func:`at_level`, :func:`enabled` and
+:func:`disabled` are scoped overrides that restore the previous level.
+
+When off, every recording helper returns after a single flag check, so the
+instrumentation scattered through the hot paths costs near nothing.
 """
 
 from __future__ import annotations
@@ -22,69 +26,111 @@ import math
 import os
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Any, ContextManager, Deque, Dict, Iterator, List, Optional
 
 __all__ = [
     "ENV_VAR",
+    "OFF",
+    "ON",
+    "FULL",
     "Counter",
     "Gauge",
     "TimingHistogram",
     "MetricsRegistry",
     "get_registry",
     "reset",
+    "parse_level",
+    "level",
+    "set_level",
+    "at_level",
     "is_enabled",
-    "set_enabled",
+    "is_full",
     "enabled",
     "disabled",
     "increment",
     "set_gauge",
     "record_timing",
     "quantile",
+    "ring_append",
 ]
 
 ENV_VAR = "REPRO_TELEMETRY"
 
+OFF, ON, FULL = "off", "on", "full"
+_LEVELS = (OFF, ON, FULL)
+
 _FALSY = frozenset({"0", "off", "false", "no", "disabled"})
 
-#: process-level override; ``None`` means "consult the environment variable"
-_enabled_override: Optional[bool] = None
+
+def parse_level(value: Optional[str]) -> str:
+    """The level a ``REPRO_TELEMETRY`` value selects (``None`` means unset)."""
+    text = (value or "").strip().lower()
+    if text in _FALSY:
+        return OFF
+    return FULL if text == FULL else ON
+
+
+_level = parse_level(os.environ.get(ENV_VAR))
+
+
+def level() -> str:
+    """The current level: ``"off"``, ``"on"`` or ``"full"``."""
+    return _level
+
+
+def set_level(value: Optional[str]) -> None:
+    """Set the level for this process; ``None`` re-reads ``REPRO_TELEMETRY``."""
+    global _level
+    if value is None:
+        value = parse_level(os.environ.get(ENV_VAR))
+    elif value not in _LEVELS:
+        raise ValueError(f"telemetry level must be one of {_LEVELS}, got {value!r}")
+    _level = value
+
+
+@contextmanager
+def at_level(value: str) -> Iterator[None]:
+    """Run the block at ``value``, then restore the previous level."""
+    previous = _level
+    set_level(value)
+    try:
+        yield
+    finally:
+        set_level(previous)
+
+
+def enabled() -> ContextManager[None]:
+    """Force recording on within the block (``full`` stays ``full``)."""
+    return at_level(FULL if _level == FULL else ON)
+
+
+def disabled() -> ContextManager[None]:
+    """Force recording off within the block."""
+    return at_level(OFF)
 
 
 def is_enabled() -> bool:
-    """Whether telemetry recording is currently on."""
-    if _enabled_override is not None:
-        return _enabled_override
-    return os.environ.get(ENV_VAR, "1").strip().lower() not in _FALSY
+    """Whether metrics and spans are recorded (level ``on`` or ``full``)."""
+    return _level != OFF
 
 
-def set_enabled(value: Optional[bool]) -> None:
-    """Force telemetry on/off for this process; ``None`` restores env control."""
-    global _enabled_override
-    _enabled_override = value
+def is_full() -> bool:
+    """Whether the event log and training-health monitors run (level ``full``)."""
+    return _level == FULL
 
 
-@contextmanager
-def enabled() -> Iterator[None]:
-    """Force telemetry on within the block, then restore the previous state."""
-    global _enabled_override
-    previous = _enabled_override
-    _enabled_override = True
-    try:
-        yield
-    finally:
-        _enabled_override = previous
+def ring_append(ring: Deque[Any], item: Any, capacity: int) -> int:
+    """Append ``item``, evicting the oldest entries past ``capacity``.
 
-
-@contextmanager
-def disabled() -> Iterator[None]:
-    """Force telemetry off within the block, then restore the previous state."""
-    global _enabled_override
-    previous = _enabled_override
-    _enabled_override = False
-    try:
-        yield
-    finally:
-        _enabled_override = previous
+    The bounded-ring mechanism of the span store and the event log: the
+    newest ``capacity`` items are kept.  Returns how many were evicted.
+    """
+    ring.append(item)
+    evicted = 0
+    while len(ring) > capacity:
+        ring.popleft()
+        evicted += 1
+    return evicted
 
 
 def quantile(sorted_values: List[float], q: float) -> float:

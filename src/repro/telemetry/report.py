@@ -1,7 +1,8 @@
-"""Structured telemetry snapshots: JSON export and a human-readable table.
+"""Reports: telemetry snapshots and the ``repro report`` health report.
 
-The snapshot schema (``schema_version`` 1) is the contract future perf PRs
-regress against — ``BENCH_telemetry.json`` is a serialised snapshot::
+**Snapshots.**  The snapshot schema (``schema_version`` 1) is the contract
+future perf PRs regress against — ``BENCH_telemetry.json`` is a serialised
+snapshot::
 
     {
       "schema_version": 1,
@@ -16,19 +17,51 @@ regress against — ``BENCH_telemetry.json`` is a serialised snapshot::
 
 Span keys are ``/``-joined paths (``fit/epoch/batch``), so the nesting tree is
 recoverable from the flat mapping.  Everything is plain JSON scalars; the file
-round-trips through ``json.loads`` unchanged.
+round-trips through ``json.loads`` unchanged.  :func:`render` prints one as a
+fixed-width table.
+
+**Health report** (``REPORT_SCHEMA_VERSION`` 1).  :func:`build_report`
+stitches four sources into one terminal/Markdown document (or ``--json`` for
+CI):
+
+1. the structured event log — run manifests, per-epoch losses, monitor
+   readings, health errors;
+2. a telemetry snapshot — span totals and the serving latency histograms;
+3. the fitted model's :class:`~repro.train.history.TrainHistory` (recovered
+   from the ``fit_end`` event);
+4. the committed ``BENCH_*.json`` baselines — the fresh run's throughput and
+   latencies are reported as deltas against them.
+
+:func:`run_smoke_report` performs a real seeded smoke fit at level ``full``
+plus a short serving exercise, then reports on it — the one-command health
+check ``python -m repro.cli report`` runs.  It imports the model stack at
+call time, so this module stays stdlib-only.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional
+import os
+from pathlib import Path
+from typing import Any, Dict, List, Optional
 
+from . import events as events_mod
 from . import metrics, profiler, tracing
+from .export import ROUTE_LATENCY_PREFIX
 
-__all__ = ["SCHEMA_VERSION", "snapshot", "write_snapshot", "render"]
+__all__ = [
+    "SCHEMA_VERSION",
+    "REPORT_SCHEMA_VERSION",
+    "snapshot",
+    "write_snapshot",
+    "render",
+    "build_report",
+    "run_smoke_report",
+    "render_report",
+]
 
 SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 1
 
 
 def snapshot(note: str = "", extra_meta: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
@@ -74,10 +107,10 @@ def write_snapshot(path: str, note: str = "", extra_meta: Optional[Dict[str, Any
 
 def _format_seconds(seconds: float) -> str:
     if seconds >= 1.0:
-        return f"{seconds:8.3f}s "
+        return f"{seconds:.3f}s"
     if seconds >= 1e-3:
-        return f"{seconds * 1e3:8.3f}ms"
-    return f"{seconds * 1e6:8.1f}µs"
+        return f"{seconds * 1e3:.3f}ms"
+    return f"{seconds * 1e6:.1f}µs"
 
 
 def render(snap: Dict[str, Any]) -> str:
@@ -116,3 +149,373 @@ def render(snap: Dict[str, Any]) -> str:
         for name, value in sorted(snap["gauges"].items()):
             lines.append(f"  {name:<44} {value:>14.4f}")
     return "\n".join(lines)
+
+
+# ------------------------------------------------------------- health report
+_BENCH_FILES = (
+    "BENCH_training.json",
+    "BENCH_serving.json",
+    "BENCH_load.json",
+    "BENCH_refresh.json",
+    "BENCH_telemetry.json",
+)
+
+
+# ------------------------------------------------------------------ assembling
+def _latest_monitor_readings(events: List[Dict[str, Any]]) -> Dict[str, Dict[str, float]]:
+    readings: Dict[str, Dict[str, float]] = {}
+    for event in events:
+        if event.get("kind") == "monitor" and "monitor" in event:
+            readings[event["monitor"]] = dict(event.get("values", {}))
+    return readings
+
+
+def _serving_latency(snapshot: Dict[str, Any]) -> Dict[str, Dict[str, float]]:
+    """p50/p95/p99-style summaries for every serving span/route histogram."""
+    out: Dict[str, Dict[str, float]] = {}
+    for path, summary in snapshot.get("spans", {}).items():
+        leaf = path.rsplit("/", 1)[-1]
+        if leaf.startswith("serve."):
+            out[leaf] = dict(summary)
+    for name, summary in snapshot.get("timings", {}).items():
+        if name.startswith(ROUTE_LATENCY_PREFIX):
+            out[f"route {name[len(ROUTE_LATENCY_PREFIX):]}"] = dict(summary)
+    return out
+
+
+def _bench_deltas(bench_dir: Path, observed: Dict[str, Any]) -> Dict[str, Any]:
+    """Committed-baseline deltas for whichever BENCH files are present."""
+    out: Dict[str, Any] = {}
+    for filename in _BENCH_FILES:
+        path = bench_dir / filename
+        if not path.is_file():
+            out[filename] = {"present": False}
+            continue
+        try:
+            committed = json.loads(path.read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            out[filename] = {"present": False, "error": str(exc)}
+            continue
+        entry: Dict[str, Any] = {"present": True}
+        if filename == "BENCH_training.json":
+            committed_bps = committed.get("training", {}).get("batches_per_sec")
+            entry["committed_batches_per_sec"] = committed_bps
+            entry["committed_rmse"] = committed.get("meta", {}).get("rmse")
+            fresh_bps = observed.get("batches_per_sec")
+            if committed_bps and fresh_bps:
+                entry["observed_batches_per_sec"] = fresh_bps
+                entry["throughput_delta_pct"] = 100.0 * (fresh_bps - committed_bps) / committed_bps
+            fresh_rmse = observed.get("rmse")
+            if fresh_rmse is not None and entry["committed_rmse"] is not None:
+                entry["observed_rmse"] = fresh_rmse
+                entry["rmse_matches_committed"] = bool(fresh_rmse == entry["committed_rmse"])
+            graph_scaling = committed.get("graph_scaling")
+            if graph_scaling:
+                entry["committed_graph_score_recall"] = graph_scaling.get(
+                    "overlap", {}
+                ).get("mean_score_recall")
+                entry["committed_graph_exponent"] = graph_scaling.get("approx_exponent")
+                entry["committed_graph_max_n"] = graph_scaling.get("max_n")
+        elif filename == "BENCH_serving.json":
+            serving = committed.get("meta", {}).get("serving", {})
+            entry["committed_score_cold_p50_s"] = serving.get("score_cold_p50_s")
+            entry["committed_score_cached_p50_s"] = serving.get("score_cached_p50_s")
+            fresh_p50 = observed.get("score_p50_s")
+            if fresh_p50 is not None and serving.get("score_cold_p50_s"):
+                entry["observed_score_p50_s"] = fresh_p50
+                entry["score_p50_delta_pct"] = (
+                    100.0 * (fresh_p50 - serving["score_cold_p50_s"]) / serving["score_cold_p50_s"]
+                )
+        elif filename == "BENCH_load.json":
+            summary = committed.get("summary", {})
+            entry["committed_top_concurrency"] = summary.get("top_concurrency")
+            entry["committed_direct_throughput_rps"] = summary.get("direct_throughput_rps")
+            entry["committed_batched_throughput_rps"] = summary.get("batched_throughput_rps")
+            entry["committed_throughput_gain_x"] = summary.get("throughput_gain_x")
+            entry["committed_p99_gain_x"] = summary.get("p99_gain_x")
+            entry["committed_parity_ok"] = committed.get("meta", {}).get("parity", {}).get("ok")
+            pool = committed.get("pool") or {}
+            if pool:
+                entry["committed_pool_workers"] = max(pool.get("worker_counts", [0]))
+                entry["committed_pool_scaling_x"] = pool.get("scaling_x")
+                entry["committed_pool_rss_growth_x"] = pool.get("rss_growth_x")
+                entry["committed_pool_parity_ok"] = pool.get("parity")
+                entry["committed_pool_cpu_count"] = pool.get("cpu_count")
+            trace_section = committed.get("tracing") or {}
+            if trace_section:
+                entry["committed_trace_overhead_x"] = trace_section.get("overhead_x")
+                entry["committed_trace_span_dropped"] = trace_section.get("span_dropped")
+            fresh_p50 = observed.get("score_p50_s")
+            batched = (
+                committed.get("closed_loop", {})
+                .get("batched", {})
+                .get(str(summary.get("top_concurrency")), {})
+            )
+            if fresh_p50 is not None and batched.get("p50_ms"):
+                entry["observed_score_p50_s"] = fresh_p50
+                entry["load_p50_delta_pct"] = (
+                    100.0 * (fresh_p50 * 1e3 - batched["p50_ms"]) / batched["p50_ms"]
+                )
+        elif filename == "BENCH_refresh.json":
+            refresh = committed.get("refresh", {})
+            swap = committed.get("swap", {})
+            entry["committed_speedup_x"] = refresh.get("speedup_x")
+            entry["committed_rmse_ratio"] = refresh.get("rmse_ratio")
+            entry["committed_swap_errors"] = swap.get("errors")
+            entry["committed_swap_requests"] = swap.get("requests")
+            entry["committed_swap_mismatches"] = swap.get("mismatched_responses")
+            entry["committed_ok"] = committed.get("ok")
+        elif filename == "BENCH_telemetry.json":
+            entry["committed_spans"] = len(committed.get("spans", {}))
+        out[filename] = entry
+    return out
+
+
+def build_report(
+    events: List[Dict[str, Any]],
+    snapshot: Optional[Dict[str, Any]] = None,
+    bench_dir: os.PathLike = ".",
+    observed: Optional[Dict[str, Any]] = None,
+) -> Dict[str, Any]:
+    """Assemble the unified health report from pre-collected sources.
+
+    ``observed`` carries fresh measurements (batches_per_sec, rmse,
+    score_p50_s …) used for the baseline deltas; pass what you have.
+    """
+    snapshot = snapshot or {"spans": {}, "timings": {}, "counters": {}, "gauges": {}}
+    observed = dict(observed or {})
+
+    manifests = [e.get("manifest", {}) | {"run_id": e.get("run_id")} for e in events if e.get("kind") == "run_start"]
+    fit_ends = [e for e in events if e.get("kind") == "fit_end"]
+    health_errors = [e for e in events if e.get("kind") == "health_error"]
+    epochs = [e for e in events if e.get("kind") == "epoch"]
+
+    history: Dict[str, List[float]] = fit_ends[-1].get("history", {}) if fit_ends else {}
+    monitors = _latest_monitor_readings(events)
+    serving = _serving_latency(snapshot)
+    if not observed.get("batches_per_sec"):
+        for path, summary in snapshot.get("spans", {}).items():
+            if path.endswith("fit/epoch/batch") and summary.get("total_s"):
+                observed["batches_per_sec"] = summary["count"] / summary["total_s"]
+                break
+    if not observed.get("score_p50_s") and "serve.score" in serving:
+        observed["score_p50_s"] = serving["serve.score"].get("p50_s")
+
+    return {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "runs": manifests,
+        "events": {
+            "total": len(events),
+            "epochs": len(epochs),
+            "monitor_observations": sum(1 for e in events if e.get("kind") == "monitor"),
+            "health_errors": [
+                {k: e.get(k) for k in ("monitor", "tensor", "epoch", "step", "error")}
+                for e in health_errors
+            ],
+        },
+        "history": history,
+        "monitors": monitors,
+        "serving": serving,
+        "telemetry": {
+            "counters": snapshot.get("counters", {}),
+            "gauges": {
+                name: value
+                for name, value in snapshot.get("gauges", {}).items()
+                if name.startswith("obs.") or name.startswith("serve.")
+            },
+        },
+        "bench": _bench_deltas(Path(bench_dir), observed),
+        "observed": observed,
+        "healthy": not health_errors,
+    }
+
+
+# ------------------------------------------------------------------- smoke run
+def run_smoke_report(
+    bench_dir: os.PathLike = ".",
+    scale_name: str = "smoke",
+    dataset: str = "ML-100K",
+    scenario: str = "item_cold",
+    pairs: int = 200,
+    events_path: Optional[os.PathLike] = None,
+) -> Dict[str, Any]:
+    """Fit a seeded smoke model with all monitors on, exercise serving, report.
+
+    The entire run happens at telemetry level ``full`` with a private event
+    log, restoring the previous level and log afterwards.
+    """
+    import numpy as np
+
+    # Imported here: repro.telemetry stays stdlib-only at import time.
+    from ..cli import model_factory
+    from ..data import make_split
+    from ..experiments.configs import get_scale
+    from ..nn import init as nn_init
+    from ..serving import InferenceEngine, export_bundle, load_bundle
+
+    scale = get_scale(scale_name)
+    data = scale.datasets[dataset]()
+
+    previous_log = events_mod._default_log
+    log = events_mod.EventLog(path=events_path)
+    events_mod.set_event_log(log)
+    metrics.reset()
+    tracing.reset_spans()
+    try:
+        with metrics.at_level(metrics.FULL):
+            nn_init.seed(scale.seed)
+            task = make_split(data, scenario, scale.split_fraction, seed=scale.seed)
+            model = model_factory("AGNN", scale)()
+            history = model.fit(task, scale.train)
+            result = model.evaluate(task)
+
+            import tempfile
+
+            with tempfile.TemporaryDirectory(prefix="repro-report-") as tmp:
+                bundle = load_bundle(export_bundle(model, task, Path(tmp) / "bundle", note="repro report"))
+                engine = InferenceEngine(bundle)
+                rng = np.random.default_rng(scale.seed)
+                users = rng.integers(0, engine.num_users, size=pairs)
+                items = rng.integers(0, engine.num_items, size=pairs)
+                with tracing.span("serve.request"):
+                    engine.score(users, items)
+                with tracing.span("serve.request"):
+                    engine.score(users, items)  # cached second pass
+            snap = snapshot(note="repro report")
+    finally:
+        events_mod.set_event_log(previous_log)
+
+    observed = {
+        "rmse": result.rmse,
+        "mae": result.mae,
+        "epochs_trained": history.num_epochs,
+        "score_pairs": int(pairs),
+    }
+    return build_report(log.events(), snapshot=snap, bench_dir=bench_dir, observed=observed)
+
+
+# ------------------------------------------------------------------- rendering
+def render_report(report: Dict[str, Any]) -> str:
+    """Markdown-flavoured text rendering (terminals read it fine too)."""
+    lines: List[str] = ["# repro health report", ""]
+    status = "HEALTHY" if report.get("healthy") else "UNHEALTHY"
+    lines.append(f"**Status: {status}**  (events: {report['events']['total']}, "
+                 f"monitor observations: {report['events']['monitor_observations']})")
+
+    for manifest in report.get("runs", []):
+        lines.append("")
+        lines.append("## Run manifest")
+        for key in ("run_id", "model", "seed", "git"):
+            if manifest.get(key) is not None:
+                lines.append(f"- {key}: `{manifest[key]}`")
+        dataset = manifest.get("dataset") or {}
+        if dataset:
+            lines.append(
+                f"- dataset: {dataset.get('name')} ({dataset.get('scenario')}) — "
+                f"{dataset.get('num_users')} users × {dataset.get('num_items')} items, "
+                f"{dataset.get('train_interactions')} train interactions"
+            )
+        if manifest.get("monitors"):
+            lines.append(f"- monitors: {', '.join(manifest['monitors'])} "
+                         f"(every {manifest.get('every_n_steps')} steps)")
+
+    for error in report["events"]["health_errors"]:
+        lines.append("")
+        lines.append(f"⚠ **health error** [{error.get('monitor')}] {error.get('error')}")
+
+    history = report.get("history", {})
+    if history:
+        lines.append("")
+        lines.append("## Training")
+        for name, curve in sorted(history.items()):
+            if curve:
+                lines.append(f"- {name}: {curve[0]:.4f} → {curve[-1]:.4f} over {len(curve)} epochs")
+        if report["observed"].get("rmse") is not None:
+            lines.append(f"- eval: rmse {report['observed']['rmse']:.4f}"
+                         + (f", mae {report['observed']['mae']:.4f}" if report["observed"].get("mae") is not None else ""))
+
+    monitors = report.get("monitors", {})
+    if monitors:
+        lines.append("")
+        lines.append("## Monitors (latest readings)")
+        for name, values in sorted(monitors.items()):
+            lines.append(f"- **{name}**")
+            for key, value in sorted(values.items()):
+                lines.append(f"  - {key}: {value:.6g}")
+
+    serving = report.get("serving", {})
+    if serving:
+        lines.append("")
+        lines.append("## Serving latency")
+        for name, summary in sorted(serving.items()):
+            lines.append(
+                f"- {name}: count {int(summary.get('count', 0))}, "
+                f"p50 {_format_seconds(summary.get('p50_s', 0.0))}, "
+                f"p95 {_format_seconds(summary.get('p95_s', 0.0))}, "
+                f"max {_format_seconds(summary.get('max_s', 0.0))}"
+            )
+
+    lines.append("")
+    lines.append("## Baseline deltas")
+    for filename, entry in sorted(report.get("bench", {}).items()):
+        if not entry.get("present"):
+            lines.append(f"- {filename}: not found")
+            continue
+        if "throughput_delta_pct" in entry:
+            lines.append(
+                f"- {filename}: {entry['observed_batches_per_sec']:.1f} batches/s vs committed "
+                f"{entry['committed_batches_per_sec']:.1f} ({entry['throughput_delta_pct']:+.1f}%)"
+                + ("" if entry.get("rmse_matches_committed") is None
+                   else f"; rmse {'matches' if entry['rmse_matches_committed'] else 'DIFFERS FROM'} committed")
+            )
+            if entry.get("committed_graph_score_recall") is not None:
+                lines.append(
+                    f"- {filename} (graph_scaling): mean score recall "
+                    f"{entry['committed_graph_score_recall']:.3f}, inverted-build exponent "
+                    f"{entry['committed_graph_exponent']:.2f} up to n={entry['committed_graph_max_n']}"
+                )
+        elif "score_p50_delta_pct" in entry:
+            lines.append(
+                f"- {filename}: score p50 {_format_seconds(entry['observed_score_p50_s'])} vs committed cold "
+                f"{_format_seconds(entry['committed_score_cold_p50_s'])} ({entry['score_p50_delta_pct']:+.1f}%)"
+            )
+        elif "committed_throughput_gain_x" in entry and entry["committed_throughput_gain_x"]:
+            lines.append(
+                f"- {filename}: c={entry['committed_top_concurrency']} batched "
+                f"{entry['committed_batched_throughput_rps']:.1f} req/s vs direct "
+                f"{entry['committed_direct_throughput_rps']:.1f} req/s "
+                f"({entry['committed_throughput_gain_x']:.2f}x throughput, "
+                f"{entry['committed_p99_gain_x']:.2f}x p99)"
+                + ("" if entry.get("load_p50_delta_pct") is None
+                   else f"; fresh score p50 {_format_seconds(entry['observed_score_p50_s'])} "
+                        f"({entry['load_p50_delta_pct']:+.1f}% vs committed batched p50)")
+            )
+            if entry.get("committed_pool_scaling_x") is not None:
+                growth = entry.get("committed_pool_rss_growth_x")
+                growth_text = "n/a" if growth is None else f"{growth:.2f}x"
+                lines.append(
+                    f"- {filename} (pool): {entry['committed_pool_workers']} workers "
+                    f"{entry['committed_pool_scaling_x']:.2f}x throughput scaling, "
+                    f"mapped-pss growth {growth_text}, parity "
+                    f"{'ok' if entry.get('committed_pool_parity_ok') else 'NOT OK'} "
+                    f"(recorded on {entry.get('committed_pool_cpu_count')} cpu)"
+                )
+            if entry.get("committed_trace_overhead_x") is not None:
+                lines.append(
+                    f"- {filename} (tracing): {entry['committed_trace_overhead_x']:.3f}x "
+                    f"traced/untraced p50, "
+                    f"{entry.get('committed_trace_span_dropped', 0)} spans dropped"
+                )
+        elif "committed_speedup_x" in entry and entry["committed_speedup_x"]:
+            lines.append(
+                f"- {filename}: warm refresh {entry['committed_speedup_x']:.2f}x faster than "
+                f"scratch at rmse ratio {entry['committed_rmse_ratio']:.4f}; "
+                f"{entry['committed_swap_requests']} swap-load requests with "
+                f"{entry['committed_swap_errors']} errors / "
+                f"{entry['committed_swap_mismatches']} mixed responses "
+                f"({'ok' if entry.get('committed_ok') else 'NOT OK'})"
+            )
+        else:
+            keys = ", ".join(f"{k}={v}" for k, v in entry.items() if k != "present")
+            lines.append(f"- {filename}: present ({keys})")
+    return "\n".join(lines) + "\n"

@@ -11,23 +11,27 @@ so the hierarchy survives flattening::
 
 records ``fit``, ``fit/epoch`` and ``fit/epoch/batch``.  Per-path duration
 distributions live in the global metrics registry (prefix ``span.``), giving
-every path a p50/p95/max for free; the raw recent records are kept in a
-bounded list for export and debugging.
+every path a p50/p95/max for free; the most recent raw records are kept in a
+bounded ring for export and debugging.
 
 Every record additionally carries *trace context*: a process-unique
 ``span_id``, the ``parent_span_id`` of the enclosing span (or of the remote
 parent that minted the active trace), the ``trace_id``/``request_id`` of the
 active distributed trace (if any), plus ``pid``/``tid`` and the wall-clock
 completion ``ts`` — enough to stitch records from N processes into one timeline
-(see :mod:`repro.obs.trace` and :mod:`repro.obs.fleet`).  The ambient trace
+(see :mod:`repro.telemetry.export`).  A trace is the plain wire triple
+``(trace_id, parent_span_id, request_id)``: it pickles cheaply into queue and
+pipe envelopes and needs no class on the receiving side.  The ambient trace
 lives in a :class:`contextvars.ContextVar` so it propagates naturally within
 a thread and can be re-activated explicitly after a queue or pipe hop:
 
-* :func:`activate_trace` / :func:`deactivate_trace` install a wire triple
-  ``(trace_id, parent_span_id, request_id)`` for the current context;
-* :func:`current_trace` returns that triple with ``parent_span_id`` replaced
-  by the innermost *live* span of this thread — the value a child hop should
-  carry so its spans parent correctly.
+* :class:`trace_scope` activates a triple (or ``None``) for a block — at HTTP
+  ingress with ``(new_trace_id(), "", request_id)``;
+* :func:`activate_trace` / :func:`deactivate_trace` are the token-based
+  primitives for hops whose scope spans a ``try``/``finally``;
+* :func:`current_trace` returns the active triple with ``parent_span_id``
+  replaced by the innermost *live* span of this thread — the value a child
+  hop should carry so its spans parent correctly.
 
 Id generation never touches any numerical RNG (a few bytes of
 ``os.urandom`` at import plus a per-process counter), keeping instrumented
@@ -36,9 +40,10 @@ runs bitwise-identical to uninstrumented ones.
 Spans are exception-safe — the stack is popped and the duration recorded even
 when the body raises (the record is flagged ``ok=False``) — and they respect
 the global ``REPRO_TELEMETRY`` switch: disabled spans skip all bookkeeping.
-When the bounded record list saturates, further records are counted in
-:func:`dropped_records` *and* in the ``span.dropped`` registry counter, so
-silent trace truncation is visible in every metrics surface.
+Once the record ring holds :data:`MAX_RECORDS`, each new record evicts the
+oldest; evictions are counted in :func:`dropped_records` *and* in the
+``span.dropped`` registry counter, so trace truncation is visible in every
+metrics surface.
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ import itertools
 import os
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from . import metrics
 
@@ -60,6 +66,7 @@ __all__ = [
     "current_trace",
     "activate_trace",
     "deactivate_trace",
+    "trace_scope",
     "new_span_id",
     "new_trace_id",
     "export_spans",
@@ -74,7 +81,7 @@ __all__ = [
 #: registry histogram prefix for span paths
 SPAN_PREFIX = "span."
 
-#: registry counter bumped for every raw record discarded past MAX_RECORDS
+#: registry counter bumped for every raw record evicted past MAX_RECORDS
 DROPPED_COUNTER = "span.dropped"
 
 #: cap on retained raw records; aggregates in the registry are unaffected
@@ -82,7 +89,7 @@ MAX_RECORDS = 20_000
 
 _local = threading.local()
 _records_lock = threading.Lock()
-_records: List[Dict[str, Any]] = []
+_records: Deque[Dict[str, Any]] = deque()
 _dropped = 0
 
 #: the active distributed trace as a wire triple
@@ -149,6 +156,31 @@ def activate_trace(wire: Optional[Tuple[str, str, str]]) -> "contextvars.Token":
 def deactivate_trace(token: "contextvars.Token") -> None:
     """Restore the trace context captured by :func:`activate_trace`."""
     _trace_var.reset(token)
+
+
+class trace_scope:
+    """Activate the wire triple ``wire`` for the block; spans inside inherit it.
+
+    ``None`` deactivates any inherited trace for the block, so work inside it
+    is not attributed to the enclosing request.  A slotted class rather than
+    ``@contextmanager``: this sits
+    on the per-request ingress path, where the generator protocol's extra
+    frames are measurable against the tracing-overhead budget.
+    """
+
+    __slots__ = ("_wire", "_token")
+
+    def __init__(self, wire: Optional[Tuple[str, str, str]]) -> None:
+        self._wire = wire
+        self._token: Optional[contextvars.Token] = None
+
+    def __enter__(self) -> Optional[Tuple[str, str, str]]:
+        self._token = _trace_var.set(self._wire)
+        return self._wire
+
+    def __exit__(self, exc_type, exc_value, traceback) -> bool:
+        _trace_var.reset(self._token)
+        return False
 
 
 def current_trace() -> Optional[Tuple[str, str, str]]:
@@ -251,17 +283,13 @@ class span:
         if self._attrs:
             record["attrs"] = self._attrs
         global _dropped
-        dropped_now = False
         with _records_lock:
-            if len(_records) < MAX_RECORDS:
-                _records.append(record)
-            else:
-                _dropped += 1
-                dropped_now = True
-        if dropped_now:
-            # Outside the records lock (the counter has its own).  Saturation
+            evicted = metrics.ring_append(_records, record, MAX_RECORDS)
+            _dropped += evicted
+        if evicted:
+            # Outside the records lock (the counter has its own).  Eviction
             # must be *visible*, not a silent truncation of the trace.
-            metrics.get_registry().counter(DROPPED_COUNTER).increment()
+            metrics.get_registry().counter(DROPPED_COUNTER).increment(evicted)
         return False
 
     def __call__(self, fn: Callable) -> Callable:
@@ -277,8 +305,8 @@ def export_spans(include_dropped: bool = False):
     """Flat copy of the retained raw span records, in completion order.
 
     With ``include_dropped`` the return value is instead a dict
-    ``{"records": [...], "dropped": n}`` so consumers see how many records
-    were discarded after :data:`MAX_RECORDS` alongside what survived.
+    ``{"records": [...], "dropped": n}`` so consumers see how many older
+    records were evicted past :data:`MAX_RECORDS` alongside what survived.
     """
     with _records_lock:
         records = [dict(record) for record in _records]
@@ -288,7 +316,7 @@ def export_spans(include_dropped: bool = False):
 
 
 def dropped_records() -> int:
-    """How many raw records were discarded after MAX_RECORDS (aggregates kept)."""
+    """How many raw records were evicted past MAX_RECORDS (aggregates kept)."""
     with _records_lock:
         return _dropped
 

@@ -21,11 +21,11 @@ import numpy as np
 from ..autograd import Tensor, no_grad
 from ..data.splits import RecommendationTask
 from ..nn import Module
-from ..obs.runtime import maybe_fit_observer
 from ..optim import Adam, clip_grad_norm
 from ..telemetry import increment, span
 from .history import TrainHistory
 from .metrics import EvalResult
+from .monitors import maybe_fit_observer
 
 __all__ = ["TrainConfig", "Recommender"]
 
@@ -97,7 +97,7 @@ class Recommender(Module):
         self.task = task
         self._rating_scale = task.dataset.rating_scale
         self.history = TrainHistory()
-        # Observability plane (REPRO_OBS=1): run manifest + health monitors.
+        # Telemetry level full: run manifest + health monitors.
         # None when disabled, so the loop below pays one `is None` per batch.
         observer = maybe_fit_observer(self, task, config)
         with span("prepare"):

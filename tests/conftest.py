@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.data import (
     MovieLensConfig,
     YelpConfig,
@@ -14,6 +15,28 @@ from repro.data import (
     user_cold_split,
     warm_split,
 )
+
+
+def _reset_telemetry() -> None:
+    telemetry.reset()
+    telemetry.reset_spans()
+    telemetry.events.reset()
+
+
+@pytest.fixture(autouse=True)
+def clean_telemetry():
+    """Every test starts at telemetry level ``on`` with an empty registry,
+    span store and event log; the previous level is restored afterwards.
+
+    All of this state is process-global, so without the reset metrics or
+    events recorded by one test would leak into the next one's assertions.
+    """
+    previous = telemetry.level()
+    telemetry.set_level(telemetry.ON)
+    _reset_telemetry()
+    yield
+    telemetry.set_level(previous)
+    _reset_telemetry()
 
 
 TINY_ML = MovieLensConfig(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import nn
+from repro import nn, telemetry
 from repro.core import AGNN, AGNNConfig
 from repro.data import warm_split
 from repro.live import BundleStore, simulate_stream
@@ -22,26 +22,10 @@ LIVE_TRAIN = TrainConfig(
 
 
 @pytest.fixture(autouse=True)
-def clean_telemetry():
-    """The live loop instruments spans/counters and emits audit events;
-    isolate both global registries per test."""
-    from repro import telemetry
-    from repro.obs import events as obs_events
-    from repro.telemetry import metrics as telemetry_metrics
-
-    previous = telemetry_metrics._enabled_override
-    previous_obs = obs_events._enabled_override
-    telemetry.set_enabled(True)
-    telemetry.reset()
-    telemetry.reset_spans()
-    obs_events.set_enabled(True)
-    obs_events.reset()
-    yield
-    telemetry.set_enabled(previous)
-    telemetry.reset()
-    telemetry.reset_spans()
-    obs_events.set_enabled(previous_obs)
-    obs_events.reset()
+def full_telemetry():
+    """The live loop emits audit events, which are recorded at level full."""
+    with telemetry.at_level(telemetry.FULL):
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.live import GateConfig, run_refresh, simulate_stream
-from repro.obs import events as obs_events
+from repro.telemetry import events
 from repro.serving import BatchingEngine, InferenceEngine
 from repro.telemetry import snapshot
 
@@ -103,5 +103,5 @@ class TestRejectedRefresh:
             assert batching.engine is engine, "rejected refresh must not touch serving"
         assert fresh_store.latest_version == 1, "rejected refresh must not publish"
         assert snapshot()["counters"].get("serve.swap.rejected") == 1
-        rejected = obs_events.get_event_log().events(kind="live.refresh_rejected")
+        rejected = events.get_event_log().events(kind="live.refresh_rejected")
         assert rejected, "a rejected refresh must leave an audit event"

@@ -1,4 +1,4 @@
-"""Observability fixtures: clean event-log/metrics state + one fitted AGNN."""
+"""One fitted AGNN for the monitor tests (telemetry state is reset in tests/conftest.py)."""
 
 from __future__ import annotations
 
@@ -10,28 +10,6 @@ from repro.train import TrainConfig
 
 OBS_CONFIG = AGNNConfig(embedding_dim=6, num_neighbors=3, pool_percent=15.0)
 OBS_TRAIN = TrainConfig(epochs=2, batch_size=64, patience=None)
-
-
-@pytest.fixture(autouse=True)
-def clean_obs():
-    """Isolate the global event log, enablement overrides and metrics registry."""
-    from repro import telemetry
-    from repro.obs import events
-    from repro.telemetry import metrics as telemetry_metrics
-
-    previous_obs = events._enabled_override
-    previous_telemetry = telemetry_metrics._enabled_override
-    previous_log = events._default_log
-    events.set_event_log(events.EventLog())
-    telemetry.set_enabled(True)
-    telemetry.reset()
-    telemetry.reset_spans()
-    yield
-    events.set_enabled(previous_obs)
-    events.set_event_log(previous_log)
-    telemetry.set_enabled(previous_telemetry)
-    telemetry.reset()
-    telemetry.reset_spans()
 
 
 @pytest.fixture()

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.obs import events
+from repro import telemetry
+from repro.telemetry import events
 from repro.train import TrainConfig
 
 pytestmark = pytest.mark.obs
@@ -77,7 +78,7 @@ class TestEventLog:
 
 
 class TestMultiProcessLog:
-    """The fix for interleaved JSONL from pool workers sharing REPRO_OBS_LOG."""
+    """The fix for interleaved JSONL from pool workers sharing REPRO_TELEMETRY_LOG."""
 
     def test_per_process_log_suffixes_pid(self, tmp_path):
         import os
@@ -164,30 +165,35 @@ class TestMultiProcessLog:
 
 
 class TestGating:
+    """Events are recorded only at telemetry level ``full``."""
+
     def test_default_is_off(self, monkeypatch):
-        monkeypatch.delenv(events.ENV_VAR, raising=False)
-        events.set_enabled(None)
-        assert not events.is_enabled()
+        monkeypatch.delenv(telemetry.ENV_VAR, raising=False)
+        telemetry.set_level(None)
+        assert telemetry.level() == telemetry.ON
+        assert not telemetry.is_full()
 
     def test_env_var_enables(self, monkeypatch):
-        monkeypatch.setenv(events.ENV_VAR, "1")
-        events.set_enabled(None)
-        assert events.is_enabled()
-        monkeypatch.setenv(events.ENV_VAR, "off")
-        assert not events.is_enabled()
+        monkeypatch.setenv(telemetry.ENV_VAR, "full")
+        telemetry.set_level(None)
+        assert telemetry.is_full()
+        monkeypatch.setenv(telemetry.ENV_VAR, "off")
+        telemetry.set_level(None)
+        assert not telemetry.is_full()
 
     def test_module_level_emit_respects_gate(self):
         log = events.EventLog()
         events.set_event_log(log)
-        with events.disabled():
-            events.emit("dropped")
+        for level in (telemetry.OFF, telemetry.ON):
+            with telemetry.at_level(level):
+                events.emit("dropped")
         assert log.events() == []
-        with events.enabled():
+        with telemetry.at_level(telemetry.FULL):
             events.emit("kept")
         assert [e["kind"] for e in log.events()] == ["kept"]
 
     def test_start_run_disabled_returns_none(self):
-        with events.disabled():
+        with telemetry.at_level(telemetry.ON):
             assert events.start_run({"model": "x"}) is None
 
 

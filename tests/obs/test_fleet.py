@@ -12,9 +12,9 @@ import math
 
 import pytest
 
-from repro.obs import fleet
-from repro.obs.prometheus import parse_prometheus, render_prometheus, render_prometheus_multi
+from repro.telemetry import export as fleet
 from repro.telemetry import tracing
+from repro.telemetry.export import parse_prometheus, render_prometheus, render_prometheus_multi
 from repro.telemetry.metrics import MetricsRegistry
 
 pytestmark = [pytest.mark.obs, pytest.mark.trace]

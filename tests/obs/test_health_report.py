@@ -6,9 +6,10 @@ import pytest
 
 from repro import nn
 from repro.core import AGNN, AGNNConfig
-from repro.obs import events
-from repro.obs.report import build_report, render_report
+from repro import telemetry
+from repro.telemetry import events
 from repro.telemetry import report as telemetry_report
+from repro.telemetry.report import build_report, render_report
 from repro.train import TrainConfig
 
 pytestmark = pytest.mark.obs
@@ -22,7 +23,7 @@ def fit_events(ics_task):
     """Events + snapshot from a real monitored fit."""
     nn.init.seed(0)
     model = AGNN(OBS_CONFIG, rng_seed=0)
-    with events.enabled():
+    with telemetry.at_level(telemetry.FULL):
         model.fit(ics_task, OBS_TRAIN)
     return events.get_event_log().events(), telemetry_report.snapshot(note="test")
 
@@ -108,7 +109,7 @@ class TestCLIReport:
         events.set_event_log(log)
         nn.init.seed(0)
         model = AGNN(OBS_CONFIG, rng_seed=0)
-        with events.enabled():
+        with telemetry.at_level(telemetry.FULL):
             model.fit(ics_task, OBS_TRAIN)
         log.close()
 
@@ -126,7 +127,7 @@ class TestCLIReport:
         events.set_event_log(log)
         nn.init.seed(0)
         model = AGNN(OBS_CONFIG, rng_seed=0)
-        with events.enabled():
+        with telemetry.at_level(telemetry.FULL):
             model.fit(ics_task, OBS_TRAIN)
         log.close()
 

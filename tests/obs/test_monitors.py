@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.obs import events
-from repro.obs.monitors import (
+from repro import telemetry
+from repro.telemetry import events
+from repro.telemetry import metrics as telemetry_metrics
+from repro.train.monitors import (
     GateSaturationMonitor,
     GradNormMonitor,
     KLCollapseMonitor,
@@ -14,7 +16,6 @@ from repro.obs.monitors import (
     TrainingHealthError,
     default_monitors,
 )
-from repro.telemetry import metrics as telemetry_metrics
 
 pytestmark = pytest.mark.obs
 
@@ -126,16 +127,11 @@ class TestMonitorSuite:
             suite.after_batch(fitted_model, epoch=0)
         assert suite.observations == 2  # steps 3 and 6
 
-    def test_every_env_var(self, monkeypatch, fitted_model):
-        monkeypatch.setenv("REPRO_OBS_EVERY", "2")
-        suite = MonitorSuite(monitors=[NaNWatchdog()])
-        assert suite.every_n_steps == 2
-
     def test_emits_events_and_gauges(self, fitted_model):
         log = events.EventLog()
         events.set_event_log(log)
         suite = MonitorSuite(monitors=[KLCollapseMonitor()], every_n_steps=1)
-        with events.enabled():
+        with telemetry.at_level(telemetry.FULL):
             readings = suite.observe(fitted_model, epoch=1)
         assert "kl_collapse" in readings
         monitor_events = log.events(kind="monitor")
@@ -152,7 +148,7 @@ class TestMonitorSuite:
         name, param = next(iter(dict(fitted_model.named_parameters()).items()))
         param.data.flat[0] = np.nan
         suite = MonitorSuite(monitors=[NaNWatchdog()], every_n_steps=1)
-        with events.enabled(), pytest.raises(TrainingHealthError):
+        with telemetry.at_level(telemetry.FULL), pytest.raises(TrainingHealthError):
             suite.observe(fitted_model, epoch=0)
         errors = log.events(kind="health_error")
         assert len(errors) == 1

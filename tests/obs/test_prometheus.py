@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.obs.prometheus import DEFAULT_BUCKETS, parse_prometheus, render_prometheus
+from repro.telemetry.export import DEFAULT_BUCKETS, parse_prometheus, render_prometheus
 from repro.telemetry import metrics as telemetry_metrics
 
 pytestmark = pytest.mark.obs

@@ -1,71 +1,77 @@
-"""TraceContext + context-aware spans: minting, scoping, propagation, loss.
+"""Trace wire triples + context-aware spans: minting, scoping, propagation, loss.
 
-Unit coverage for the tracing foundation: the wire triple round-trip, the
-contextvar scope, parent/child span-id chains within and across simulated
-hops, and the span-loss accounting that replaced silent ring-buffer
-truncation.
+Unit coverage for the tracing foundation: the wire triple round-trip through
+``trace_scope``, the contextvar scope, parent/child span-id chains within and
+across simulated hops, and the span-loss accounting that replaced silent
+ring-buffer truncation.
 """
 
 import threading
 
 import pytest
 
-from repro.obs.trace import TraceContext, current_context, trace_scope
 from repro.telemetry import metrics, tracing
+from repro.telemetry.tracing import new_trace_id, trace_scope
 
 pytestmark = [pytest.mark.obs, pytest.mark.trace]
 
 
+def _mint(request_id):
+    """The root wire triple HTTP ingress activates: no parent span yet."""
+    return (new_trace_id(), "", request_id)
+
+
 class TestTraceContext:
     def test_mint_is_unique_and_carries_request_id(self):
-        a = TraceContext.mint("req-1")
-        b = TraceContext.mint("req-2")
-        assert a.trace_id != b.trace_id
-        assert a.request_id == "req-1"
-        assert a.span_id == ""
+        a = _mint("req-1")
+        b = _mint("req-2")
+        assert a[0] != b[0]
+        assert a[2] == "req-1"
+        assert a[1] == ""
 
     def test_wire_round_trip(self):
-        ctx = TraceContext(trace_id="t1", span_id="s1", request_id="r1")
-        assert TraceContext.from_wire(ctx.to_wire()) == ctx
-        assert TraceContext.from_wire(None) is None
+        wire = ("t1", "s1", "r1")
+        with trace_scope(wire) as active:
+            assert active == wire
+            assert tracing.current_trace() == wire
+        with trace_scope(None) as active:
+            assert active is None
 
     def test_no_ambient_context_by_default(self):
-        assert current_context() is None
         assert tracing.current_trace() is None
 
     def test_scope_activates_and_restores(self):
-        ctx = TraceContext.mint("req-scope")
-        with trace_scope(ctx):
-            active = current_context()
-            assert active.trace_id == ctx.trace_id
-            assert active.request_id == "req-scope"
-        assert current_context() is None
+        wire = _mint("req-scope")
+        with trace_scope(wire):
+            active = tracing.current_trace()
+            assert active[0] == wire[0]
+            assert active[2] == "req-scope"
+        assert tracing.current_trace() is None
 
     def test_nested_none_scope_suppresses_trace(self):
-        with trace_scope(TraceContext.mint("req-outer")):
+        with trace_scope(_mint("req-outer")):
             with trace_scope(None):
-                assert current_context() is None
-            assert current_context() is not None
+                assert tracing.current_trace() is None
+            assert tracing.current_trace() is not None
 
     def test_current_trace_parents_to_innermost_live_span(self):
-        ctx = TraceContext.mint("req-parent")
-        with trace_scope(ctx):
+        wire = _mint("req-parent")
+        with trace_scope(wire):
             with tracing.span("outer"):
                 outer_id = tracing.current_span_id()
-                wire = tracing.current_trace()
-                assert wire == (ctx.trace_id, outer_id, "req-parent")
+                assert tracing.current_trace() == (wire[0], outer_id, "req-parent")
 
 
 class TestSpanRecords:
     def test_records_carry_trace_and_process_identity(self):
-        ctx = TraceContext.mint("req-ids")
-        with trace_scope(ctx):
+        wire = _mint("req-ids")
+        with trace_scope(wire):
             with tracing.span("a"):
                 with tracing.span("b"):
                     pass
         records = {r["name"]: r for r in tracing.export_spans()}
-        assert records["a"]["trace_id"] == ctx.trace_id
-        assert records["b"]["trace_id"] == ctx.trace_id
+        assert records["a"]["trace_id"] == wire[0]
+        assert records["b"]["trace_id"] == wire[0]
         assert records["b"]["parent_span_id"] == records["a"]["span_id"]
         assert records["a"]["request_id"] == "req-ids"
         assert records["a"]["pid"] > 0
@@ -74,7 +80,7 @@ class TestSpanRecords:
 
     def test_remote_hop_parents_to_wire_span(self):
         """A span on the far side of a hop parents to the sender's span."""
-        with trace_scope(TraceContext.mint("req-hop")):
+        with trace_scope(_mint("req-hop")):
             with tracing.span("ingress"):
                 wire = tracing.current_trace()
         # Simulate the receiving process/thread re-activating the wire triple.

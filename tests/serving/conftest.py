@@ -13,22 +13,6 @@ SERVING_CONFIG = AGNNConfig(embedding_dim=6, num_neighbors=3, pool_percent=15.0)
 SERVING_TRAIN = TrainConfig(epochs=2, batch_size=64, patience=None)
 
 
-@pytest.fixture(autouse=True)
-def clean_telemetry():
-    """Serving instruments spans/counters; isolate the global registry."""
-    from repro import telemetry
-    from repro.telemetry import metrics as telemetry_metrics
-
-    previous = telemetry_metrics._enabled_override
-    telemetry.set_enabled(True)
-    telemetry.reset()
-    telemetry.reset_spans()
-    yield
-    telemetry.set_enabled(previous)
-    telemetry.reset()
-    telemetry.reset_spans()
-
-
 @pytest.fixture(scope="session")
 def fitted_model(ics_task):
     nn.init.seed(0)

@@ -184,7 +184,7 @@ class TestPrometheusEndpoint:
             return response.status, response.headers["Content-Type"], response.read().decode("utf-8")
 
     def test_metrics_prom_is_valid_exposition(self, server):
-        from repro.obs.prometheus import parse_prometheus
+        from repro.telemetry.export import parse_prometheus
 
         _post(server, "/score", {"users": [0, 1], "items": [0, 1]})
         _post(server, "/score", {})  # a client error for the error family
@@ -196,7 +196,7 @@ class TestPrometheusEndpoint:
         assert families["repro_serve_route_errors_total"][(("route", "score"),)] >= 1
 
     def test_route_latency_histogram_families(self, server):
-        from repro.obs.prometheus import parse_prometheus
+        from repro.telemetry.export import parse_prometheus
 
         _post(server, "/score", {"users": [0], "items": [0]})
         _, _, text = self._get_text(server, "/metrics.prom")
@@ -209,7 +209,7 @@ class TestPrometheusEndpoint:
         assert inf_bucket == count
 
     def test_counts_round_trip_against_registry(self, server):
-        from repro.obs.prometheus import parse_prometheus
+        from repro.telemetry.export import parse_prometheus
         from repro.telemetry import metrics as telemetry_metrics
 
         _post(server, "/score", {"users": [0], "items": [0]})

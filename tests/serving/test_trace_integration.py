@@ -17,10 +17,10 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.obs.trace import TraceContext, trace_scope
 from repro.serving import BatchingEngine, InferenceEngine, WorkerPool, make_server
 from repro.telemetry import disabled as telemetry_disabled
 from repro.telemetry import tracing
+from repro.telemetry.tracing import new_trace_id, trace_scope
 
 pytestmark = [pytest.mark.serving, pytest.mark.pool, pytest.mark.trace]
 
@@ -128,7 +128,7 @@ class TestFleetMetrics:
         assert status == 200
         assert headers["Content-Type"].startswith("text/plain")
 
-        from repro.obs.prometheus import parse_prometheus
+        from repro.telemetry.export import parse_prometheus
 
         families = parse_prometheus(text)
         scores = families["repro_serve_scores_total"]
@@ -161,21 +161,21 @@ class TestFleetMetrics:
 class TestBatchTickLinks:
     def test_single_flow_tick_joins_the_trace(self, engine):
         batching = BatchingEngine(engine, auto_start=False)
-        ctx = TraceContext.mint("req-single")
-        with trace_scope(ctx):
+        wire = (new_trace_id(), "", "req-single")
+        with trace_scope(wire):
             future = batching.submit_score([0], [1])
         batching.drain_once()
         np.testing.assert_array_equal(future.result(1), engine.score([0], [1]))
         records = tracing.export_spans()
         tick = next(r for r in records if r["name"] == "serve.batch.tick")
-        assert tick["trace_id"] == ctx.trace_id
+        assert tick["trace_id"] == wire[0]
         assert tick["attrs"]["links"][0]["request_id"] == "req-single"
 
     def test_multi_flow_tick_links_all_parents(self, engine):
         batching = BatchingEngine(engine, auto_start=False)
         futures = []
         for request_id in ("req-a", "req-b"):
-            with trace_scope(TraceContext.mint(request_id)):
+            with trace_scope((new_trace_id(), "", request_id)):
                 futures.append(batching.submit_score([0], [1]))
         batching.drain_once()
         for future in futures:
@@ -189,13 +189,13 @@ class TestBatchTickLinks:
 
     def test_engine_spans_carry_request_identity(self, engine):
         batching = BatchingEngine(engine, auto_start=False)
-        ctx = TraceContext.mint("req-attrib")
-        with trace_scope(ctx):
+        wire = (new_trace_id(), "", "req-attrib")
+        with trace_scope(wire):
             batching.submit_top_n(0, k=3)
         batching.drain_once()
         records = tracing.export_spans()
         topn = next(r for r in records if r["name"] == "serve.topn")
-        assert topn["trace_id"] == ctx.trace_id
+        assert topn["trace_id"] == wire[0]
         assert topn["request_id"] == "req-attrib"
 
 
@@ -206,7 +206,7 @@ class TestBitwiseNeutrality:
         with telemetry_disabled():
             untraced = InferenceEngine(bundle, cache_size=0).score(users, items)
         engine = InferenceEngine(bundle, cache_size=0)
-        with trace_scope(TraceContext.mint("req-det")):
+        with trace_scope((new_trace_id(), "", "req-det")):
             with tracing.span("serve.request"):
                 traced = engine.score(users, items)
         np.testing.assert_array_equal(traced, untraced)

@@ -1,4 +1,4 @@
-"""Instrumentation must not perturb numerics: telemetry on/off is bit-identical.
+"""Instrumentation must not perturb numerics: telemetry off/on/full is bit-identical.
 
 Spans and counters read the wall clock, never the RNG; the profiler wraps ops
 without touching their maths.  Two fits from the same seed must therefore
@@ -36,11 +36,12 @@ class TestSeedDeterminism:
         np.testing.assert_array_equal(first, second)
 
     def test_telemetry_off_changes_no_predictions(self, ics_task):
-        with telemetry.enabled():
-            on = _fit_and_predict(ics_task)
-        with telemetry.disabled():
-            off = _fit_and_predict(ics_task)
-        np.testing.assert_array_equal(on, off)
+        predictions = {}
+        for level in (telemetry.OFF, telemetry.ON, telemetry.FULL):
+            with telemetry.at_level(level):
+                predictions[level] = _fit_and_predict(ics_task)
+        np.testing.assert_array_equal(predictions[telemetry.ON], predictions[telemetry.OFF])
+        np.testing.assert_array_equal(predictions[telemetry.ON], predictions[telemetry.FULL])
 
     def test_profiler_changes_no_predictions(self, ics_task):
         baseline = _fit_and_predict(ics_task)

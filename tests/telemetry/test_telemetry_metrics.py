@@ -141,12 +141,16 @@ class TestEnableSwitch:
         assert is_enabled()
 
     def test_env_var_controls_default(self, monkeypatch):
-        telemetry.set_enabled(None)  # hand control back to the environment
+        # set_level(None) hands control back to the environment (re-read)
         monkeypatch.setenv(ENV_VAR, "0")
+        telemetry.set_level(None)
         assert not is_enabled()
         monkeypatch.setenv(ENV_VAR, "off")
+        telemetry.set_level(None)
         assert not is_enabled()
         monkeypatch.setenv(ENV_VAR, "1")
+        telemetry.set_level(None)
         assert is_enabled()
         monkeypatch.delenv(ENV_VAR)
+        telemetry.set_level(None)
         assert is_enabled()  # default: on

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from collections import deque
+
 from repro import telemetry
+from repro.telemetry import events, metrics, tracing
 from repro.telemetry.tracing import current_path, export_spans, span, span_summaries
 
 pytestmark = pytest.mark.telemetry
@@ -113,3 +116,33 @@ class TestDisabledMode:
         with span("outer"):  # recorded, fresh stack
             pass
         assert span_summaries()["outer"]["count"] == 1
+
+
+class TestBoundedRings:
+    """The span store and the event log share one ring: newest kept, oldest evicted."""
+
+    def test_ring_append_evicts_oldest_and_counts(self):
+        ring = deque()
+        evicted = [metrics.ring_append(ring, i, 3) for i in range(5)]
+        assert list(ring) == [2, 3, 4]
+        assert evicted == [0, 0, 0, 1, 1]
+
+    def test_span_store_keeps_the_most_recent_records(self, monkeypatch):
+        monkeypatch.setattr(tracing, "MAX_RECORDS", 3)
+        for i in range(5):
+            with span(f"s{i}"):
+                pass
+        exported = tracing.export_spans(include_dropped=True)
+        assert [r["name"] for r in exported["records"]] == ["s2", "s3", "s4"]
+        assert exported["dropped"] == 2
+        assert tracing.dropped_records() == 2
+        assert metrics.get_registry().counters()[tracing.DROPPED_COUNTER] == 2
+
+    def test_event_log_keeps_the_latest_events(self):
+        log = events.EventLog(capacity=100)
+        for i in range(1000):
+            log.emit("e", i=i)
+        kept = log.events()
+        assert [e["i"] for e in kept] == list(range(900, 1000))
+        assert [e["seq"] for e in kept] == list(range(901, 1001))
+        assert log.dropped == 900
