@@ -1,8 +1,8 @@
 """The load-regression tripwire: coalescing must keep beating direct calls.
 
-Runs the same train → bundle → concurrent-load matrix as ``repro load-bench``
-(short cells, closed loop only at concurrency 1 and 16) and asserts the
-properties the committed ``BENCH_load.json`` baseline certifies:
+Reads the load phase of ``repro bench serving --check`` (closed loop at
+concurrency 1 and 16, short open loop) and asserts the properties the
+committed ``BENCH_serving.json`` certifies:
 
 * the batched path is **bitwise** the direct path (the parity gate);
 * no request is dropped, duplicated, or errored under load;
@@ -10,50 +10,28 @@ properties the committed ``BENCH_load.json`` baseline certifies:
 * at the top concurrency the coalesced path beats direct calls on *both*
   throughput and p99 latency — the reason the BatchingEngine exists.
 
-No absolute req/s numbers are asserted — those live in ``BENCH_load.json``
-diffs — but a future PR that breaks parity, drops requests, or regresses
+No absolute req/s numbers are asserted — those live in ``BENCH_serving.json``
+diffs — but a future change that breaks parity, drops requests, or regresses
 coalescing below the direct path fails here.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
-
-from repro.cli import main
-from repro.serving.loadgen import LOAD_SCHEMA_VERSION, run_load_bench
 
 pytestmark = [pytest.mark.load, pytest.mark.serving]
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
 
 @pytest.fixture(scope="module")
-def load_snapshot(tmp_path_factory):
-    path = tmp_path_factory.mktemp("load") / "BENCH_load.json"
-    payload = run_load_bench(
-        epochs=2,
-        concurrencies=(1, 16),
-        duration_s=0.5,
-        rate_rps=200.0,
-        output=str(path),
-    )
-    return payload, json.loads(path.read_text())
+def serving(check_run):
+    return check_run("serving")[0]
 
 
-def test_snapshot_file_matches_in_memory(load_snapshot):
-    payload, loaded = load_snapshot
-    assert loaded == payload
-    assert loaded["schema_version"] == LOAD_SCHEMA_VERSION
-
-
-def test_schema_shape(load_snapshot):
-    payload, _ = load_snapshot
-    assert set(payload["closed_loop"]) >= {"direct", "batched", "concurrencies"}
+def test_schema_shape(serving):
+    closed = serving["results"]["closed_loop"]
+    assert set(closed) == {"direct", "batched"}
     for mode in ("direct", "batched"):
-        for concurrency, cell in payload["closed_loop"][mode].items():
+        for concurrency, cell in closed[mode].items():
             for key in ("throughput_rps", "p50_ms", "p95_ms", "p99_ms", "requests", "errors"):
                 assert key in cell, f"closed_loop.{mode}[{concurrency}] missing {key}"
     for key in (
@@ -65,61 +43,50 @@ def test_schema_shape(load_snapshot):
         "throughput_gain_x",
         "p99_gain_x",
     ):
-        assert key in payload["summary"], f"summary missing {key}"
+        assert key in serving["metrics"], f"metrics missing {key}"
 
 
-def test_batched_path_is_bitwise_direct(load_snapshot):
-    payload, _ = load_snapshot
-    parity = payload["meta"]["parity"]
+def test_batched_path_is_bitwise_direct(serving):
+    parity = serving["results"]["parity"]
     assert parity["ok"], "coalesced scores diverged from direct scores"
     assert parity["max_abs_diff"] == 0.0
 
 
-def test_no_requests_lost_or_errored(load_snapshot):
-    payload, _ = load_snapshot
+def test_no_requests_lost_or_errored(serving):
+    closed = serving["results"]["closed_loop"]
     for mode in ("direct", "batched"):
-        for concurrency, cell in payload["closed_loop"][mode].items():
+        for concurrency, cell in closed[mode].items():
             assert cell["errors"] == 0, f"{mode} c={concurrency} saw request errors"
             assert cell["requests"] > 0
-    assert payload["batching"]["fallbacks"] == 0
-    assert payload["batching"]["shed"] == 0
-    assert payload["ok"] is True
+    assert serving["results"]["batching"]["fallbacks"] == 0
+    assert serving["results"]["batching"]["shed"] == 0
+    assert serving["ok"] is True
 
 
-def test_coalescing_actually_happened(load_snapshot):
-    payload, _ = load_snapshot
-    batching = payload["batching"]
+def test_coalescing_actually_happened(serving):
+    batching = serving["results"]["batching"]
     assert batching["ticks"] > 0
     assert batching["coalesced_requests"] > 0, "every tick served a single request — no fusion"
 
 
-def test_coalescing_beats_direct_at_top_concurrency(load_snapshot):
-    payload, _ = load_snapshot
-    summary = payload["summary"]
-    assert summary["top_concurrency"] == 16
-    assert summary["throughput_gain_x"] > 1.0, (
-        f"batched {summary['batched_throughput_rps']:.0f} req/s no longer beats "
-        f"direct {summary['direct_throughput_rps']:.0f} req/s at c=16"
+def test_coalescing_beats_direct_at_top_concurrency(serving):
+    metrics = serving["metrics"]
+    assert metrics["top_concurrency"] == 16
+    assert metrics["throughput_gain_x"] > 1.0, (
+        f"batched {metrics['batched_throughput_rps']:.0f} req/s no longer beats "
+        f"direct {metrics['direct_throughput_rps']:.0f} req/s at c=16"
     )
-    assert summary["p99_gain_x"] > 1.0, (
-        f"batched p99 {summary['batched_p99_ms']:.2f}ms no longer beats "
-        f"direct p99 {summary['direct_p99_ms']:.2f}ms at c=16"
+    assert metrics["p99_gain_x"] > 1.0, (
+        f"batched p99 {metrics['batched_p99_ms']:.2f}ms no longer beats "
+        f"direct p99 {metrics['direct_p99_ms']:.2f}ms at c=16"
     )
 
 
-def test_cli_check_mode_passes(tmp_path):
-    assert main(["load-bench", "--check", "--output", str(tmp_path / "BENCH_load.json")]) == 0
-
-
-def test_committed_baseline_is_healthy():
-    """The repo-root BENCH_load.json must itself certify the win it documents."""
-    path = REPO_ROOT / "BENCH_load.json"
-    assert path.is_file(), "BENCH_load.json baseline missing from the repo root"
-    committed = json.loads(path.read_text())
-    assert committed["schema_version"] == LOAD_SCHEMA_VERSION
-    assert committed["ok"] is True
-    assert committed["meta"]["parity"]["ok"]
-    assert committed["meta"]["parity"]["max_abs_diff"] == 0.0
-    summary = committed["summary"]
-    assert summary["throughput_gain_x"] > 1.0
-    assert summary["p99_gain_x"] > 1.0
+def test_committed_baseline_is_healthy(committed):
+    """The repo-root BENCH_serving.json must itself certify the win it documents."""
+    baseline = committed("serving")
+    assert baseline["ok"] is True
+    assert baseline["results"]["parity"]["ok"]
+    assert baseline["metrics"]["batched_max_abs_diff"] == 0.0
+    assert baseline["metrics"]["throughput_gain_x"] > 1.0
+    assert baseline["metrics"]["p99_gain_x"] > 1.0

@@ -1,15 +1,17 @@
 """Monitor-overhead tripwire: the observability plane must stay off the hot path.
 
-Three guards, all on the seeded SMOKE training cycle:
+Three guards, all on the shared seeded D=40 smoke fit of ``repro bench``
+(:func:`repro.bench.smoke_fit`):
 
 * **instrumented cost** — every monitor observation runs inside the
   ``obs.monitor`` span, so its exact cost is known; the span total must stay
   under ``OVERHEAD_BUDGET`` (5%) of the monitored fit's wall-clock.  This is
   the precise guard: it cannot be fooled by machine noise;
 * **paired wall-clock** — the same fit timed at telemetry level ``on``
-  (monitors off) and ``full`` (monitors on), after a warmup fit, best-of-2
-  per condition to damp allocator/cache jitter, must also stay within the 5% budget end to end, catching overhead that escapes
-  the span (event serialisation, cadence bookkeeping);
+  (monitors off) and ``full`` (monitors on), after a warmup fit, five runs
+  per condition interleaved so machine drift lands on both, compared by
+  median, must also stay within the 5% budget end to end, catching overhead
+  that escapes the span (event serialisation, cadence bookkeeping);
 * **absolute floor** — monitored throughput must stay within
   ``SLOWDOWN_BUDGET``× of the committed ``BENCH_training.json`` baseline, the
   same generous factor the training tripwire uses.
@@ -20,15 +22,13 @@ unmonitored predictions must be bitwise identical.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro import nn, telemetry
-from repro.experiments.configs import SMOKE
+from repro import telemetry
+from repro.bench import smoke_fit, summarise
 from repro.telemetry import events
 from repro.telemetry import metrics as telemetry_metrics
 
@@ -38,55 +38,46 @@ pytestmark = pytest.mark.obs
 OVERHEAD_BUDGET = 0.05
 #: monitored throughput may undershoot the committed baseline by at most this
 SLOWDOWN_BUDGET = 4.0
+#: timed fits per condition
+RUNS = 5
 
-BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_training.json"
 
-
-def _smoke_fit():
-    """One seeded SMOKE fit → (seconds, batches, obs-span seconds, predictions)."""
-    from repro.cli import model_factory
-    from repro.data import make_split
-
-    dataset = SMOKE.datasets["ML-100K"]()
-    nn.init.seed(SMOKE.seed)
-    task = make_split(dataset, "item_cold", SMOKE.split_fraction, seed=SMOKE.seed)
-    model = model_factory("AGNN", SMOKE)()
-    telemetry_metrics.reset()
-    telemetry.reset_spans()
-    start = time.perf_counter()
-    model.fit(task, SMOKE.train)
-    elapsed = time.perf_counter() - start
-    batches = telemetry_metrics.get_registry().counters().get("train.batches", 0)
-    monitor_s = sum(
-        summary["total_s"]
-        for path, summary in telemetry.span_summaries().items()
-        if path.endswith("obs.monitor")
-    )
-    predictions = model.predict(task.test_users, task.test_items)
+def _timed_fit(level: str):
+    """One shared smoke fit at ``level`` → (seconds, batches, obs-span seconds, predictions)."""
+    with telemetry_metrics.at_level(level):
+        telemetry_metrics.reset()
+        telemetry.reset_spans()
+        start = time.perf_counter()
+        fit = smoke_fit()
+        elapsed = time.perf_counter() - start
+        batches = telemetry_metrics.get_registry().counters().get("train.batches", 0)
+        monitor_s = sum(
+            summary["total_s"]
+            for path, summary in telemetry.span_summaries().items()
+            if path.endswith("obs.monitor")
+        )
+    predictions = fit.model.predict(fit.task.test_users, fit.task.test_items)
     return elapsed, batches, monitor_s, predictions
 
 
 @pytest.fixture(scope="module")
 def paired_runs():
-    """Warmup, then the same seeded fit twice per condition (level on/full)."""
+    """Warmup, then the same seeded fit RUNS times per condition, interleaved."""
     events.set_event_log(events.EventLog())
-    with telemetry_metrics.at_level(telemetry_metrics.ON):
-        _smoke_fit()  # warmup: page caches, lazy imports, allocator pools
-        off_a = _smoke_fit()
-        off_b = _smoke_fit()
-    with telemetry_metrics.at_level(telemetry_metrics.FULL):
-        on_a = _smoke_fit()
-        on_b = _smoke_fit()
+    _timed_fit(telemetry_metrics.ON)  # warmup: page caches, lazy imports, allocator pools
+    off, on = [], []
+    for _ in range(RUNS):
+        off.append(_timed_fit(telemetry_metrics.ON))
+        on.append(_timed_fit(telemetry_metrics.FULL))
     monitor_events = events.get_event_log().events(kind="monitor")
     events.set_event_log(None)
-    on_best = on_a if on_a[0] <= on_b[0] else on_b
     return {
-        "off_s": min(off_a[0], off_b[0]),
-        "on_s": on_best[0],
-        "batches": on_best[1],
-        "monitor_s": on_best[2],
-        "off_pred": off_a[3],
-        "on_pred": on_a[3],
+        "off_s": summarise([run[0] for run in off])["median"],
+        "on_s": summarise([run[0] for run in on])["median"],
+        "batches": on[0][1],
+        "monitor_s": summarise([run[2] for run in on])["median"],
+        "off_pred": off[0][3],
+        "on_pred": on[0][3],
         "monitor_events": monitor_events,
     }
 
@@ -120,11 +111,10 @@ def test_paired_wall_clock_within_budget(paired_runs):
     )
 
 
-def test_monitored_throughput_vs_committed_baseline(paired_runs):
-    assert BASELINE_PATH.exists(), "BENCH_training.json missing — run `repro train-bench`"
-    committed = json.loads(BASELINE_PATH.read_text())["training"]["batches_per_sec"]
+def test_monitored_throughput_vs_committed_baseline(paired_runs, committed):
+    committed_bps = committed("training")["metrics"]["batches_per_sec"]
     monitored_bps = paired_runs["batches"] / paired_runs["on_s"]
-    assert monitored_bps * SLOWDOWN_BUDGET >= committed, (
+    assert monitored_bps * SLOWDOWN_BUDGET >= committed_bps, (
         f"monitored training throughput collapsed: {monitored_bps:.1f} batches/s "
-        f"vs committed {committed:.1f} (budget {SLOWDOWN_BUDGET}x)"
+        f"vs committed {committed_bps:.1f} (budget {SLOWDOWN_BUDGET}x)"
     )

@@ -1,39 +1,35 @@
-"""The performance-regression tripwire: telemetry-bench must stay instrumented.
+"""The instrumentation tripwire: the training suite's snapshot must stay whole.
 
-Runs the same metered SMOKE train+predict cycle as ``repro telemetry-bench``
-and asserts the snapshot's *shape*: every expected span path is present with
-non-zero wall-clock time, the autograd profiler saw the core primitives, and
-the counters are self-consistent.  No absolute timings are asserted — those
-belong in ``BENCH_telemetry.json`` diffs, not in pass/fail tests — but a
-future PR that silently de-instruments a hot path (or breaks the span tree's
-nesting) fails here.
+Runs ``repro bench training --check`` once per session and asserts the shape
+of its span/op snapshot (``results.snapshot``): every expected span path is
+present with non-zero wall-clock time, the autograd profiler saw the core
+primitives, and the counters are self-consistent.  No absolute timings are
+asserted — those belong in ``BENCH_training.json`` diffs — but a future change
+that silently de-instruments a hot path (or breaks the span tree's nesting)
+fails here.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.telemetry.bench import EXPECTED_SPAN_PATHS, run_telemetry_bench
+from repro.bench import EXPECTED_SPAN_PATHS
 
 pytestmark = pytest.mark.telemetry
 
 
 @pytest.fixture(scope="module")
-def baseline_snapshot(tmp_path_factory):
-    path = tmp_path_factory.mktemp("telemetry") / "BENCH_telemetry.json"
-    snap = run_telemetry_bench(epochs=2, output=str(path))
-    return snap, json.loads(path.read_text())
+def training(check_run):
+    return check_run("training")
 
 
-def test_snapshot_file_matches_in_memory(baseline_snapshot):
-    snap, loaded = baseline_snapshot
-    assert loaded == snap
+def test_snapshot_file_matches_in_memory(training):
+    envelope, loaded = training
+    assert loaded == envelope
 
 
-def test_every_instrumented_span_has_nonzero_time(baseline_snapshot):
-    snap, _ = baseline_snapshot
+def test_every_instrumented_span_has_nonzero_time(training):
+    snap = training[0]["results"]["snapshot"]
     for path in EXPECTED_SPAN_PATHS:
         assert path in snap["spans"], f"span path {path!r} missing — de-instrumented?"
         summary = snap["spans"][path]
@@ -42,9 +38,8 @@ def test_every_instrumented_span_has_nonzero_time(baseline_snapshot):
         assert summary["max_s"] >= summary["p95_s"] >= summary["p50_s"] >= 0.0
 
 
-def test_span_tree_nests_consistently(baseline_snapshot):
-    snap, _ = baseline_snapshot
-    spans = snap["spans"]
+def test_span_tree_nests_consistently(training):
+    spans = training[0]["results"]["snapshot"]["spans"]
     for path, summary in spans.items():
         if "/" not in path:
             continue
@@ -55,17 +50,16 @@ def test_span_tree_nests_consistently(baseline_snapshot):
         )
 
 
-def test_autograd_ops_were_profiled(baseline_snapshot):
-    snap, _ = baseline_snapshot
-    ops = snap["ops"]
+def test_autograd_ops_were_profiled(training):
+    ops = training[0]["results"]["snapshot"]["ops"]
     for name in ("matmul", "add", "mul", "embedding"):
         assert ops.get(name, {}).get("count", 0) > 0, f"op {name!r} never profiled"
     assert ops["matmul"]["backward_count"] > 0
     assert ops["matmul"]["alloc_bytes"] > 0
 
 
-def test_counters_are_self_consistent(baseline_snapshot):
-    snap, _ = baseline_snapshot
+def test_counters_are_self_consistent(training):
+    snap = training[0]["results"]["snapshot"]
     counters = snap["counters"]
     assert counters["train.epochs"] == snap["meta"]["epochs_trained"]
     assert counters["train.batches"] >= counters["train.epochs"]

@@ -1,8 +1,8 @@
 """The pool-regression tripwire: multi-process serving must stay correct & shared.
 
-Runs the same train → bundle → worker-pool sweep as ``repro load-bench``
-(short cells) and asserts the properties the committed ``BENCH_load.json``
-pool section certifies:
+Reads the worker-pool sweep of ``repro bench serving --check`` (1, 2 and 4
+workers at c=16, short cells) and asserts the properties the committed
+``BENCH_serving.json`` pool section certifies:
 
 * **parity** — every worker's responses are bitwise the single-process
   oracle, including after an onboarding broadcast (the acceptance gate);
@@ -10,27 +10,21 @@ pool section certifies:
 * **memory sharing** — proportional-set-size of the mapped bundle files grows
   sub-2x across the sweep (the kernel shares the pages; N workers ≉ N copies);
 * **scaling** — at least 1.5x throughput at 4 workers vs 1 — asserted only on
-  machines with ≥4 CPUs, because a container pinned to one core physically
-  cannot scale out (the committed baseline records its ``cpu_count`` so the
-  check degrades honestly rather than flaking).
+  machines with ≥4 CPUs, because a container with fewer cores physically
+  cannot scale out to four workers (the pool section records its
+  ``cpu_count`` so the check degrades honestly rather than flaking).
 
-No absolute req/s numbers are asserted — those live in ``BENCH_load.json``
+No absolute req/s numbers are asserted — those live in ``BENCH_serving.json``
 diffs.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 
 import pytest
 
-from repro.serving.loadgen import LOAD_SCHEMA_VERSION, run_load_bench
-
 pytestmark = [pytest.mark.pool, pytest.mark.load, pytest.mark.serving]
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 SCALING_FLOOR = 1.5
 RSS_GROWTH_CEILING = 2.0
@@ -38,26 +32,12 @@ MULTI_CORE = (os.cpu_count() or 1) >= 4
 
 
 @pytest.fixture(scope="module")
-def pool_snapshot(tmp_path_factory):
-    path = tmp_path_factory.mktemp("pool") / "BENCH_load.json"
-    counts = (1, 2, 4) if MULTI_CORE else (1, 2)
-    payload = run_load_bench(
-        epochs=2,
-        concurrencies=(1,),
-        duration_s=0.4,
-        rate_rps=100.0,
-        pool_worker_counts=counts,
-        pool_concurrency=8,
-        output=str(path),
-    )
-    return payload, json.loads(path.read_text())
+def serving(check_run):
+    return check_run("serving")[0]
 
 
-def test_pool_section_shape(pool_snapshot):
-    payload, loaded = pool_snapshot
-    assert loaded == payload
-    assert payload["schema_version"] == LOAD_SCHEMA_VERSION
-    pool = payload["pool"]
+def test_pool_section_shape(serving):
+    pool = serving["results"]["pool"]
     for key in (
         "worker_counts",
         "concurrency",
@@ -72,26 +52,25 @@ def test_pool_section_shape(pool_snapshot):
         "ok",
     ):
         assert key in pool, f"pool section missing {key}"
+    assert pool["worker_counts"] == [1, 2, 4]
     for workers in pool["worker_counts"]:
         cell = pool["cells"][str(workers)]
         for key in ("throughput_rps", "p99_ms", "requests", "errors", "mapped_pss_kb"):
             assert key in cell, f"pool cell {workers} missing {key}"
 
 
-def test_pool_is_bitwise_oracle(pool_snapshot):
+def test_pool_is_bitwise_oracle(serving):
     """The acceptance gate: pooled responses == single-process engine, bitwise,
     on every worker, before and after the onboarding broadcast."""
-    payload, _ = pool_snapshot
-    pool = payload["pool"]
+    pool = serving["results"]["pool"]
     assert pool["parity"], "a worker's scores diverged from the single-process oracle"
     assert pool["onboard_parity"], "workers diverged after the onboarding broadcast"
     assert pool["ok"] is True
-    assert payload["ok"] is True
+    assert serving["ok"] is True
 
 
-def test_no_faults_during_sweep(pool_snapshot):
-    payload, _ = pool_snapshot
-    pool = payload["pool"]
+def test_no_faults_during_sweep(serving):
+    pool = serving["results"]["pool"]
     assert pool["errors"] == 0
     assert pool["respawns"] == 0
     for workers in pool["worker_counts"]:
@@ -100,11 +79,10 @@ def test_no_faults_during_sweep(pool_snapshot):
         assert cell["requests"] > 0
 
 
-def test_mapped_state_is_shared_not_copied(pool_snapshot):
+def test_mapped_state_is_shared_not_copied(serving):
     """N workers must NOT cost N copies of the bundle: summed proportional set
     size of the mapped files stays well under 2x from 1 worker to the max."""
-    payload, _ = pool_snapshot
-    growth = payload["pool"]["rss_growth_x"]
+    growth = serving["results"]["pool"]["rss_growth_x"]
     if growth is None:
         pytest.skip("no /proc smaps on this platform — cannot measure sharing")
     assert growth < RSS_GROWTH_CEILING, (
@@ -114,9 +92,8 @@ def test_mapped_state_is_shared_not_copied(pool_snapshot):
 
 
 @pytest.mark.skipif(not MULTI_CORE, reason="scaling floor needs >=4 CPUs")
-def test_scaling_floor_at_four_workers(pool_snapshot):
-    payload, _ = pool_snapshot
-    pool = payload["pool"]
+def test_scaling_floor_at_four_workers(serving):
+    pool = serving["results"]["pool"]
     assert max(pool["worker_counts"]) >= 4
     assert pool["scaling_x"] >= SCALING_FLOOR, (
         f"4-worker throughput is only {pool['scaling_x']:.2f}x the single-worker "
@@ -124,50 +101,37 @@ def test_scaling_floor_at_four_workers(pool_snapshot):
     )
 
 
-def test_cli_check_mode_covers_pool(tmp_path):
-    from repro.cli import main
-
-    out = tmp_path / "BENCH_load.json"
-    assert main(["load-bench", "--check", "--output", str(out), "--pool-workers", "1", "2"]) == 0
-    payload = json.loads(out.read_text())
-    assert payload["pool"]["parity"]
-    assert payload["pool"]["ok"]
-
-
 class TestCommittedBaseline:
-    """The repo-root BENCH_load.json must itself certify the pool section."""
+    """The repo-root BENCH_serving.json must itself certify the pool section."""
 
     @pytest.fixture(scope="class")
-    def committed(self):
-        path = REPO_ROOT / "BENCH_load.json"
-        assert path.is_file(), "BENCH_load.json baseline missing from the repo root"
-        return json.loads(path.read_text())
+    def baseline(self, committed):
+        return committed("serving")
 
-    def test_pool_section_present_and_ok(self, committed):
-        assert committed["schema_version"] == LOAD_SCHEMA_VERSION
-        pool = committed["pool"]
+    def test_pool_section_present_and_ok(self, baseline):
+        pool = baseline["results"]["pool"]
         assert pool["ok"] is True
         assert pool["parity"]
         assert pool["onboard_parity"]
         assert pool["respawns"] == 0
         assert pool["errors"] == 0
 
-    def test_committed_sharing_holds(self, committed):
-        growth = committed["pool"]["rss_growth_x"]
+    def test_committed_sharing_holds(self, baseline):
+        growth = baseline["results"]["pool"]["rss_growth_x"]
         if growth is not None:
             assert growth < RSS_GROWTH_CEILING
 
-    def test_committed_scaling_honest_about_cpus(self, committed):
+    def test_committed_scaling_honest_about_cpus(self, baseline):
         """A baseline recorded on a >=4-CPU machine must show the scaling win;
         one recorded on fewer cores records the fact instead of a fiction."""
-        pool = committed["pool"]
-        assert pool["cpu_count"] >= 1
+        pool = baseline["results"]["pool"]
+        assert pool["cpu_count"] == baseline["env"]["nproc"]
         if pool["cpu_count"] >= 4 and max(pool["worker_counts"]) >= 4:
             assert pool["scaling_x"] >= SCALING_FLOOR
 
-    def test_summary_mirrors_pool_section(self, committed):
-        summary = committed["summary"]
-        pool = committed["pool"]
-        assert summary["pool_workers"] == max(pool["worker_counts"])
-        assert summary["pool_scaling_x"] == pool["scaling_x"]
-        assert summary["pool_rss_growth_x"] == pool["rss_growth_x"]
+    def test_summary_mirrors_pool_section(self, baseline):
+        metrics = baseline["metrics"]
+        pool = baseline["results"]["pool"]
+        assert metrics["pool_workers"] == max(pool["worker_counts"])
+        assert metrics["pool_scaling_x"] == pool["scaling_x"]
+        assert metrics["pool_rss_growth_x"] == pool["rss_growth_x"]

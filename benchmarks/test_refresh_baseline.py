@@ -1,7 +1,7 @@
 """The continuous-learning tripwire: warm refresh must stay cheap and safe.
 
-Runs the same stream → warm-refresh → gate → hot-swap-under-load matrix as
-``repro refresh-bench --check`` (seconds-scale: tiny fits, few swap clients)
+Runs the stream → warm-refresh → gate → hot-swap-under-load matrix of
+``repro bench refresh --check`` (seconds-scale: tiny fits, few swap clients)
 and asserts the properties the committed ``BENCH_refresh.json`` certifies:
 
 * the warm-started refresh beats the from-scratch fit on wall-clock while
@@ -12,40 +12,33 @@ and asserts the properties the committed ``BENCH_refresh.json`` certifies:
   the old engine still serving.
 
 No absolute timings are asserted — those live in ``BENCH_refresh.json``
-diffs — but a future PR that breaks warm-start, the gates, or swap atomicity
+diffs — but a future change that breaks warm-start, the gates, or swap atomicity
 fails here.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
+from repro.bench import SCHEMA_VERSION
 from repro.cli import main
-from repro.live.bench import SCHEMA_VERSION, run_refresh_bench
 
 pytestmark = [pytest.mark.live, pytest.mark.serving]
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
 
 @pytest.fixture(scope="module")
-def refresh_snapshot(tmp_path_factory):
-    path = tmp_path_factory.mktemp("refresh") / "BENCH_refresh.json"
-    payload = run_refresh_bench(check=True, output=str(path))
-    return payload, json.loads(path.read_text())
+def refresh_snapshot(check_run):
+    return check_run("refresh")
 
 
 def test_snapshot_file_matches_in_memory(refresh_snapshot):
-    payload, loaded = refresh_snapshot
-    assert loaded == payload
+    envelope, loaded = refresh_snapshot
+    assert loaded == envelope
     assert loaded["schema_version"] == SCHEMA_VERSION
 
 
 def test_schema_shape(refresh_snapshot):
-    payload, _ = refresh_snapshot
+    payload = refresh_snapshot[0]["results"]
     for key in (
         "warm_fit_s",
         "scratch_fit_s",
@@ -62,7 +55,7 @@ def test_schema_shape(refresh_snapshot):
 
 
 def test_warm_start_beats_scratch(refresh_snapshot):
-    payload, _ = refresh_snapshot
+    payload = refresh_snapshot[0]["results"]
     refresh = payload["refresh"]
     assert refresh["speedup_x"] > 1.0, (
         f"warm refresh ({refresh['warm_fit_s']:.2f}s) no longer beats "
@@ -74,7 +67,7 @@ def test_warm_start_beats_scratch(refresh_snapshot):
 
 
 def test_hot_swap_under_load_is_clean(refresh_snapshot):
-    payload, _ = refresh_snapshot
+    payload = refresh_snapshot[0]["results"]
     swap = payload["swap"]
     assert swap["errors"] == 0, f"swap-phase errors: {swap['error_samples']}"
     assert swap["dropped"] == 0
@@ -84,7 +77,7 @@ def test_hot_swap_under_load_is_clean(refresh_snapshot):
 
 
 def test_poisoned_refresh_rejected_everywhere(refresh_snapshot):
-    payload, _ = refresh_snapshot
+    payload = refresh_snapshot[0]["results"]
     rejection = payload["rejection"]
     assert rejection["gate_rejected"], "NaN-poisoned refresh passed the gates"
     assert rejection["gate_reasons"]
@@ -93,22 +86,21 @@ def test_poisoned_refresh_rejected_everywhere(refresh_snapshot):
 
 
 def test_overall_ok(refresh_snapshot):
-    payload, _ = refresh_snapshot
-    assert payload["ok"] is True
+    envelope, _ = refresh_snapshot
+    assert envelope["ok"] is True
 
 
 def test_cli_check_mode_passes(tmp_path):
-    assert main(["refresh-bench", "--check", "--output", str(tmp_path / "b.json")]) == 0
+    assert main(["bench", "refresh", "--check", "--output", str(tmp_path / "b.json")]) == 0
 
 
-def test_committed_baseline_is_healthy():
+def test_committed_baseline_is_healthy(committed):
     """The repo-root BENCH_refresh.json must certify the win it documents."""
-    path = REPO_ROOT / "BENCH_refresh.json"
-    assert path.is_file(), "BENCH_refresh.json baseline missing from the repo root"
-    committed = json.loads(path.read_text())
-    assert committed["schema_version"] == SCHEMA_VERSION
-    assert committed["ok"] is True
-    assert committed["meta"]["check"] is False, "committed baseline must be a full run"
+    baseline = committed("refresh")
+    assert baseline["schema_version"] == SCHEMA_VERSION
+    assert baseline["ok"] is True
+    assert baseline["preset"] == "full", "committed baseline must be a full run"
+    committed = baseline["results"]
     refresh = committed["refresh"]
     assert refresh["speedup_x"] >= 1.5, (
         f"committed warm-start speedup {refresh['speedup_x']:.2f}x fell below 1.5x"

@@ -1,39 +1,36 @@
-"""The serving-regression tripwire: serving-bench must stay instrumented.
+"""The serving-regression tripwire: the engine phase must stay instrumented.
 
-Runs the same metered export → load → engine → HTTP cycle as
-``repro serving-bench`` and asserts the snapshot's *shape*: every ``serve.*``
-span is present with non-zero time, the LRU-cached score path beats the cold
-path, the engine reproduces the offline model, and the cache counters are
-self-consistent.  No absolute latencies are asserted — those belong in
-``BENCH_serving.json`` diffs — but a future PR that de-instruments the
-serving path, breaks offline parity, or makes the cache useless fails here.
+Runs ``repro bench serving --check`` once per session and asserts the engine
+phase (export → load → engine → HTTP) and its telemetry snapshot: every
+``serve.*`` span is present with non-zero time, the LRU-cached score path
+beats the cold path, the engine reproduces the offline model, and the cache
+counters are self-consistent.  No absolute latencies are asserted — those
+belong in ``BENCH_serving.json`` diffs — but a future change that de-instruments
+the serving path, breaks offline parity, or makes the cache useless fails
+here.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.serving.bench import EXPECTED_SERVING_SPANS, run_serving_bench
+from repro.bench import EXPECTED_SERVING_SPANS
 
 pytestmark = [pytest.mark.telemetry, pytest.mark.serving]
 
 
 @pytest.fixture(scope="module")
-def serving_snapshot(tmp_path_factory):
-    path = tmp_path_factory.mktemp("serving") / "BENCH_serving.json"
-    snap = run_serving_bench(epochs=2, pairs=100, output=str(path))
-    return snap, json.loads(path.read_text())
+def serving(check_run):
+    return check_run("serving")
 
 
-def test_snapshot_file_matches_in_memory(serving_snapshot):
-    snap, loaded = serving_snapshot
-    assert loaded == snap
+def test_snapshot_file_matches_in_memory(serving):
+    envelope, loaded = serving
+    assert loaded == envelope
 
 
-def test_every_serving_span_has_nonzero_time(serving_snapshot):
-    snap, _ = serving_snapshot
+def test_every_serving_span_has_nonzero_time(serving):
+    snap = serving[0]["results"]["snapshot"]
     for path in EXPECTED_SERVING_SPANS:
         assert path in snap["spans"], f"span path {path!r} missing — de-instrumented?"
         summary = snap["spans"][path]
@@ -41,34 +38,30 @@ def test_every_serving_span_has_nonzero_time(serving_snapshot):
         assert summary["total_s"] > 0.0
 
 
-def test_cached_scores_beat_cold_path(serving_snapshot):
-    snap, _ = serving_snapshot
-    serving = snap["meta"]["serving"]
-    assert serving["score_cached_p50_s"] < serving["score_cold_p50_s"], (
+def test_cached_scores_beat_cold_path(serving):
+    metrics = serving[0]["metrics"]
+    assert metrics["score_cached_p50_ms"] < metrics["score_cold_p50_ms"], (
         "LRU score cache is no longer faster than recomputation"
     )
-    assert serving["cached_speedup_p50"] > 1.0
+    assert metrics["cached_speedup"] > 1.0
 
 
-def test_engine_matches_offline_model(serving_snapshot):
-    snap, _ = serving_snapshot
-    assert snap["meta"]["serving"]["max_abs_diff_vs_offline"] == pytest.approx(0.0, abs=1e-10)
+def test_engine_matches_offline_model(serving):
+    assert serving[0]["metrics"]["offline_max_abs_diff"] == pytest.approx(0.0, abs=1e-10)
 
 
-def test_onboarding_produced_live_nodes(serving_snapshot):
-    snap, _ = serving_snapshot
-    serving = snap["meta"]["serving"]
-    counters = snap["counters"]
+def test_onboarding_produced_live_nodes(serving):
+    engine = serving[0]["results"]["engine"]
+    counters = serving[0]["results"]["snapshot"]["counters"]
     assert counters["serve.onboarded.users"] >= 1  # one direct + one via HTTP
     assert counters["serve.onboarded.items"] >= 1
-    assert serving["topn_size"] == 10
+    assert engine["topn_size"] == 10
     low, high = 1.0, 5.0
-    assert low <= serving["onboard_cross_score"] <= high
+    assert low <= engine["onboard_cross_score"] <= high
 
 
-def test_cache_counters_are_self_consistent(serving_snapshot):
-    snap, _ = serving_snapshot
-    counters = snap["counters"]
+def test_cache_counters_are_self_consistent(serving):
+    counters = serving[0]["results"]["snapshot"]["counters"]
     assert counters["serve.scores"] == counters["serve.cache.hits"] + counters["serve.cache.misses"]
     assert counters["serve.cache.hits"] > 0
     assert counters["serve.cache.misses"] > 0
@@ -76,17 +69,11 @@ def test_cache_counters_are_self_consistent(serving_snapshot):
     assert counters.get("serve.request_errors", 0) == 0
 
 
-def test_serving_meta_shape(serving_snapshot):
-    _, loaded = serving_snapshot
-    serving = loaded["meta"]["serving"]
-    for key in (
-        "score_cold_p50_s",
-        "score_cold_p95_s",
-        "score_cached_p50_s",
-        "score_cached_p95_s",
-        "cached_speedup_p50",
-        "max_abs_diff_vs_offline",
-        "pairs",
-    ):
-        assert isinstance(serving[key], (int, float)), f"meta.serving.{key} missing or non-numeric"
-    assert serving["pairs"] > 0
+def test_serving_meta_shape(serving):
+    _, loaded = serving
+    engine = loaded["results"]["engine"]
+    for key in ("score_cold_ms", "score_cached_ms"):
+        for stat in ("median", "iqr", "n"):
+            assert isinstance(engine[key][stat], (int, float)), f"engine.{key}.{stat} missing"
+    assert isinstance(engine["max_abs_diff_vs_offline"], float)
+    assert engine["pairs"] > 0

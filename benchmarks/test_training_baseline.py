@@ -1,15 +1,16 @@
 """The training-throughput tripwire against the committed ``BENCH_training.json``.
 
-Re-runs the metered SMOKE training cycle that ``repro train-bench`` records
-and holds it to the committed baseline:
+Runs ``repro bench training --check`` (the same seeded D=40 smoke fit as the
+``full`` preset, with a smaller graph micro-benchmark) and holds it to the
+committed envelope:
 
 * determinism must hold — repeated seeded runs bitwise-equal, and the fresh
   RMSE must reproduce the committed one exactly (same seed, same code path);
 * throughput may drift with the machine, so the tripwire is generous: a fresh
   run must stay within ``SLOWDOWN_BUDGET``× of the committed batches/sec —
   catching an accidentally reverted hot path, not a noisy neighbour;
-* the fused graph build must not be slower than the materialise-then-pool
-  reference it replaced.
+* the vectorised pool extraction and the fused graph build must not be
+  slower than the reference implementations they replaced (median timings).
 
 Absolute millisecond numbers belong in ``BENCH_training.json`` diffs reviewed
 per PR, not in pass/fail assertions.
@@ -17,12 +18,7 @@ per PR, not in pass/fail assertions.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
-
-from repro.perf import run_train_bench
 
 pytestmark = pytest.mark.perf
 
@@ -31,26 +27,20 @@ pytestmark = pytest.mark.perf
 # on the paths this guards).
 SLOWDOWN_BUDGET = 4.0
 
-BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_training.json"
+
+@pytest.fixture(scope="module")
+def baseline(committed) -> dict:
+    return committed("training")
 
 
 @pytest.fixture(scope="module")
-def committed() -> dict:
-    assert BASELINE_PATH.exists(), "BENCH_training.json missing — run `repro train-bench`"
-    return json.loads(BASELINE_PATH.read_text())
+def fresh(check_run) -> dict:
+    return check_run("training")[0]
 
 
-@pytest.fixture(scope="module")
-def fresh(tmp_path_factory) -> dict:
-    out = tmp_path_factory.mktemp("perf") / "BENCH_training.json"
-    # Smaller/fewer graph micro-bench repeats than the committed defaults:
-    # only the speedup ratios are asserted, not the absolute milliseconds.
-    return run_train_bench(output=str(out), graph_n=800, graph_pool=60, graph_repeats=2)
-
-
-def test_committed_baseline_shape(committed):
-    assert committed["schema_version"] == 1
-    training = committed["training"]
+def test_committed_baseline_shape(baseline):
+    assert baseline["schema_version"] == 1
+    training = baseline["results"]["training"]
     for key in (
         "batches_per_sec",
         "batches",
@@ -61,38 +51,38 @@ def test_committed_baseline_shape(committed):
         "unique_nodes",
         "total_nodes",
     ):
-        assert key in training, f"training.{key} missing from BENCH_training.json"
-    assert committed["determinism"]["repeat_runs_bitwise_equal"] is True
-    assert committed["graph_microbench"]["pool_speedup"] >= 1.0
-    assert committed["graph_microbench"]["build_speedup"] >= 1.0
+        assert key in training, f"results.training.{key} missing from BENCH_training.json"
+    assert baseline["metrics"]["repeat_runs_bitwise_equal"] is True
+    assert baseline["metrics"]["pool_speedup"] >= 1.0
+    assert baseline["metrics"]["build_speedup"] >= 1.0
 
 
 def test_fresh_run_is_deterministic(fresh):
-    determinism = fresh["determinism"]
-    assert determinism["checked"] is True
+    determinism = fresh["results"]["determinism"]
     assert determinism["repeat_runs_bitwise_equal"] is True
     assert determinism["test_pairs"] > 0
+    assert fresh["ok"] is True
 
 
-def test_fresh_run_reproduces_committed_quality(fresh, committed):
+def test_fresh_run_reproduces_committed_quality(fresh, baseline):
     # Same seed, same scale, same code: the committed RMSE must reproduce
     # bitwise.  A drift here means the numerics changed without the sanctioned
     # golden re-freeze (repro verify --update-goldens + regenerated baseline).
-    assert fresh["meta"]["rmse"] == committed["meta"]["rmse"]
-    assert fresh["training"]["batches"] == committed["training"]["batches"]
-    assert fresh["training"]["unique_nodes"] == committed["training"]["unique_nodes"]
-    assert fresh["training"]["total_nodes"] == committed["training"]["total_nodes"]
+    assert fresh["metrics"]["rmse"] == baseline["metrics"]["rmse"]
+    fresh_training, committed_training = fresh["results"]["training"], baseline["results"]["training"]
+    for key in ("batches", "unique_nodes", "total_nodes"):
+        assert fresh_training[key] == committed_training[key], key
 
 
 def test_dedup_actually_deduplicates(fresh):
-    training = fresh["training"]
+    training = fresh["results"]["training"]
     assert 0.0 < training["dedup_ratio"] < 1.0
     assert training["unique_nodes"] < training["total_nodes"]
 
 
-def test_throughput_within_budget_of_committed(fresh, committed):
-    fresh_bps = fresh["training"]["batches_per_sec"]
-    committed_bps = committed["training"]["batches_per_sec"]
+def test_throughput_within_budget_of_committed(fresh, baseline):
+    fresh_bps = fresh["metrics"]["batches_per_sec"]
+    committed_bps = baseline["metrics"]["batches_per_sec"]
     assert fresh_bps > 0
     assert fresh_bps * SLOWDOWN_BUDGET >= committed_bps, (
         f"training throughput collapsed: {fresh_bps:.1f} batches/s vs "
@@ -102,8 +92,7 @@ def test_throughput_within_budget_of_committed(fresh, committed):
 
 
 def test_fused_graph_build_not_slower_than_reference(fresh):
-    micro = fresh["graph_microbench"]
     # 0.8 rather than 1.0: tiny shapes + a noisy machine can jitter the ratio,
     # but a genuinely reverted fusion lands far below this.
-    assert micro["pool_speedup"] >= 0.8
-    assert micro["build_speedup"] >= 0.8
+    assert fresh["metrics"]["pool_speedup"] >= 0.8
+    assert fresh["metrics"]["build_speedup"] >= 0.8

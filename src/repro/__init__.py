@@ -16,12 +16,12 @@ experiments runners that regenerate every table and figure of the paper
 ranking     implicit-feedback / top-N ranking extension
 analysis    post-hoc homophily, error-slicing and embedding diagnostics
 verify      correctness harness: differential fuzzing, goldens, invariants
-perf        the training-throughput baseline (BENCH_training.json)
 telemetry   the one observability plane behind REPRO_TELEMETRY=off|on|full:
             metrics, spans + traces, event log, exporters, profiler, reports
 serving     online inference: model bundles, engine, live SCS onboarding, HTTP,
             coalescing queue and the multi-process worker pool
 live        continuous learning: incremental refresh, bundle store, hot swap
+bench       `repro bench <suite>`: the one runner behind every BENCH_*.json
 """
 
 __version__ = "1.0.0"

@@ -7,16 +7,12 @@ Examples:
     python -m repro.cli run --model AGNN --seeds 0 1 2 --scenario item_cold
     python -m repro.cli list-models
     python -m repro.cli datasets --scale bench
-    python -m repro.cli telemetry-bench --output BENCH_telemetry.json
-    python -m repro.cli train-bench --output BENCH_training.json
     python -m repro.cli export-bundle --scale smoke --output bundles/agnn
     python -m repro.cli serve --bundle bundles/agnn --port 8080
-    python -m repro.cli serving-bench --output BENCH_serving.json
-    python -m repro.cli load-bench --output BENCH_load.json
-    python -m repro.cli load-bench --check --output -
     python -m repro.cli trace --bundle bundles/agnn --workers 2 --output trace.json
     python -m repro.cli refresh --store bundles/store
-    python -m repro.cli refresh-bench --output BENCH_refresh.json
+    python -m repro.cli bench training             # writes BENCH_training.json
+    python -m repro.cli bench serving --check      # the tripwires' quick preset
     python -m repro.cli verify --fuzz-iterations 200
     python -m repro.cli verify --update-goldens --skip fuzz invariants
     python -m repro.cli report                      # smoke fit + health report
@@ -35,6 +31,7 @@ import sys
 from typing import Callable
 
 from .baselines import BASELINES, make_baseline
+from .bench import SUITES, default_output, render, run_suite
 from .core import ALL_VARIANTS, AGNN, agnn_variant
 from .experiments.configs import get_scale
 from .experiments.replicates import run_replicates
@@ -78,55 +75,18 @@ def build_parser() -> argparse.ArgumentParser:
     datasets.add_argument("--scale", default="smoke", choices=["paper", "bench", "smoke"])
 
     bench = commands.add_parser(
-        "telemetry-bench",
-        help="run a fully-metered train+predict cycle and write the perf baseline",
+        "bench",
+        help="run one benchmark suite at its full preset and write BENCH_<suite>.json",
     )
-    bench.add_argument("--dataset", default="ML-100K", choices=["ML-100K", "ML-1M", "Yelp"])
-    bench.add_argument("--scenario", default="item_cold", choices=["warm", "item_cold", "user_cold"])
-    bench.add_argument("--scale", default="smoke", choices=["paper", "bench", "smoke"])
-    bench.add_argument("--epochs", type=int, default=None, help="override the scale's epoch count")
-    bench.add_argument("--output", default="BENCH_telemetry.json",
-                       help="snapshot path ('-' to skip writing)")
-    bench.add_argument("--json", action="store_true", help="print the snapshot JSON instead of the table")
-
-    tbench = commands.add_parser(
-        "train-bench",
-        help="run the seeded training benchmark (throughput + graph micro-bench) "
-        "and write the baseline",
-    )
-    tbench.add_argument("--dataset", default="ML-100K", choices=["ML-100K", "ML-1M", "Yelp"])
-    tbench.add_argument("--scenario", default="item_cold", choices=["warm", "item_cold", "user_cold"])
-    tbench.add_argument("--scale", default="smoke", choices=["paper", "bench", "smoke"])
-    tbench.add_argument("--epochs", type=int, default=None, help="override the scale's epoch count")
-    tbench.add_argument("--graph-n", type=int, default=2000,
-                        help="node count for the graph-construction micro-benchmark")
-    tbench.add_argument("--graph-pool", type=int, default=100,
-                        help="pool size for the graph-construction micro-benchmark")
-    tbench.add_argument("--repeats", type=int, default=5, help="micro-benchmark repetitions (best-of)")
-    tbench.add_argument("--no-determinism", action="store_true",
-                        help="skip the bitwise repeat-run determinism check")
-    tbench.add_argument("--output", default="BENCH_training.json",
-                        help="baseline path ('-' to skip writing)")
-    tbench.add_argument("--json", action="store_true",
-                        help="print the payload JSON instead of the summary")
-
-    gbench = commands.add_parser(
-        "graph-bench",
-        help="benchmark sublinear vs exact graph construction across node "
-        "counts and record the scaling + pool-overlap baseline",
-    )
-    gbench.add_argument("--n-grid", default="2000,8000,32000,100000",
-                        help="comma-separated node counts for the inverted build")
-    gbench.add_argument("--exact-grid", default="2000,4000,8000",
-                        help="comma-separated node counts for the exact build")
-    gbench.add_argument("--pool-size", type=int, default=100,
-                        help="fixed candidate-pool size across the grid")
-    gbench.add_argument("--repeats", type=int, default=2, help="repetitions (best-of)")
-    gbench.add_argument("--seed", type=int, default=0, help="synthetic-input seed")
-    gbench.add_argument("--output", default="BENCH_training.json",
-                        help="baseline to merge the graph_scaling entry into ('-' to skip)")
-    gbench.add_argument("--json", action="store_true",
-                        help="print the payload JSON instead of the summary")
+    bench.add_argument("suite", choices=sorted(SUITES), help="which suite to run")
+    bench.add_argument("--check", action="store_true",
+                       help="the seconds-scale preset the tripwires run "
+                       "(writes a file only with --output)")
+    bench.add_argument("--output", default=None,
+                       help="envelope path (default: BENCH_<suite>.json for the "
+                       "full preset; '-' skips writing)")
+    bench.add_argument("--json", action="store_true",
+                       help="print the envelope JSON instead of the summary")
 
     export = commands.add_parser(
         "export-bundle",
@@ -161,62 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serving processes; >1 starts a WorkerPool over "
                        "mmap-shared bundle state (each worker runs its own "
                        "in-process coalescing engine)")
-
-    sbench = commands.add_parser(
-        "serving-bench",
-        help="run the metered serving cycle (export → engine → HTTP) and write the baseline",
-    )
-    sbench.add_argument("--dataset", default="ML-100K", choices=["ML-100K", "ML-1M", "Yelp"])
-    sbench.add_argument("--scenario", default="item_cold", choices=["warm", "item_cold", "user_cold"])
-    sbench.add_argument("--scale", default="smoke", choices=["paper", "bench", "smoke"])
-    sbench.add_argument("--epochs", type=int, default=None, help="override the scale's epoch count")
-    sbench.add_argument("--pairs", type=int, default=200, help="test pairs to meter")
-    sbench.add_argument("--output", default="BENCH_serving.json",
-                        help="snapshot path ('-' to skip writing)")
-    sbench.add_argument("--json", action="store_true", help="print the snapshot JSON instead of a summary")
-
-    lbench = commands.add_parser(
-        "load-bench",
-        help="drive the serving engine with concurrent load (direct vs coalesced) "
-        "and write the latency-under-concurrency baseline",
-    )
-    lbench.add_argument("--dataset", default="ML-100K", choices=["ML-100K", "ML-1M", "Yelp"])
-    lbench.add_argument("--scenario", default="item_cold", choices=["warm", "item_cold", "user_cold"])
-    lbench.add_argument("--scale", default="smoke", choices=["paper", "bench", "smoke"])
-    lbench.add_argument("--epochs", type=int, default=2,
-                        help="training epochs for the throwaway model (quality is irrelevant here)")
-    lbench.add_argument("--bundle", default=None,
-                        help="serve an existing bundle directory instead of training")
-    lbench.add_argument("--concurrency", type=int, nargs="+", default=[1, 4, 16],
-                        help="closed-loop concurrency ramp")
-    lbench.add_argument("--duration", type=float, default=1.0, help="seconds per load cell")
-    lbench.add_argument("--rate", type=float, default=300.0, help="open-loop arrival rate (req/s)")
-    lbench.add_argument("--pairs-per-request", type=int, default=16,
-                        help="candidate pairs scored per request (the reranking shape)")
-    lbench.add_argument("--dim", type=int, default=40,
-                        help="embedding dimension for the trained bundle "
-                        "(default: the paper's 40, not the smoke-scale toy size)")
-    lbench.add_argument("--tick-interval", type=float, default=0.0,
-                        help="coalescing window in seconds; 0 drains adaptively "
-                        "with no added wait")
-    lbench.add_argument("--max-batch-pairs", type=int, default=8192,
-                        help="pair budget per coalesced tick")
-    lbench.add_argument("--max-queue-depth", type=int, default=4096,
-                        help="queued requests before shedding")
-    lbench.add_argument("--pool-workers", type=int, nargs="+", default=[1, 2, 4],
-                        help="worker-count sweep for the multi-process pool phase")
-    lbench.add_argument("--pool-concurrency", type=int, default=8,
-                        help="closed-loop callers driving each pool cell")
-    lbench.add_argument("--no-pool", action="store_true",
-                        help="skip the worker-pool sweep (single-process phases only)")
-    lbench.add_argument("--seed", type=int, default=0, help="workload seed")
-    lbench.add_argument("--check", action="store_true",
-                        help="seconds-scale smoke invocation (shrinks the matrix; "
-                        "exit code reflects parity + error-free runs)")
-    lbench.add_argument("--output", default="BENCH_load.json",
-                        help="baseline path ('-' to skip writing)")
-    lbench.add_argument("--json", action="store_true",
-                        help="print the payload JSON instead of the table")
 
     trace_cmd = commands.add_parser(
         "trace",
@@ -253,29 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fraction of items simulated as post-launch arrivals")
     refresh.add_argument("--seed", type=int, default=0, help="stream simulation seed")
     refresh.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-
-    rbench = commands.add_parser(
-        "refresh-bench",
-        help="measure warm-start refresh vs from-scratch fit, hot-swap under "
-        "load, and the rejection paths; write the baseline",
-    )
-    rbench.add_argument("--dataset", default="ML-100K", choices=["ML-100K", "ML-1M", "Yelp"])
-    rbench.add_argument("--scale", default="smoke", choices=["paper", "bench", "smoke"])
-    rbench.add_argument("--refresh-epochs", type=int, default=None,
-                        help="override the refresh epoch count")
-    rbench.add_argument("--swap-threads", type=int, default=4,
-                        help="worker threads hammering the engine during swaps")
-    rbench.add_argument("--swap-requests", type=int, default=50,
-                        help="score requests per worker thread")
-    rbench.add_argument("--swaps", type=int, default=6, help="hot-swaps during the load phase")
-    rbench.add_argument("--seed", type=int, default=0, help="stream + workload seed")
-    rbench.add_argument("--check", action="store_true",
-                        help="seconds-scale smoke invocation (correctness only; "
-                        "skips the 1.5x speedup bar)")
-    rbench.add_argument("--output", default="BENCH_refresh.json",
-                        help="baseline path ('-' to skip writing)")
-    rbench.add_argument("--json", action="store_true",
-                        help="print the payload JSON instead of the summary")
 
     verify = commands.add_parser(
         "verify",
@@ -366,68 +247,13 @@ def _command_datasets(args) -> int:
     return 0
 
 
-def _command_telemetry_bench(args) -> int:
-    from .telemetry import render, run_telemetry_bench
-
-    snap = run_telemetry_bench(
-        dataset=args.dataset,
-        scenario=args.scenario,
-        scale_name=args.scale,
-        epochs=args.epochs,
-        output=None if args.output == "-" else args.output,
-    )
-    print(json.dumps(snap, indent=2, sort_keys=True) if args.json else render(snap))
-    if args.output != "-":
-        print(f"\nwrote {args.output}")
-    return 0
-
-
-def _command_train_bench(args) -> int:
-    from .perf import render, run_train_bench
-
-    payload = run_train_bench(
-        dataset=args.dataset,
-        scenario=args.scenario,
-        scale_name=args.scale,
-        epochs=args.epochs,
-        output=None if args.output == "-" else args.output,
-        graph_n=args.graph_n,
-        graph_pool=args.graph_pool,
-        graph_repeats=args.repeats,
-        check_determinism=not args.no_determinism,
-    )
-    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else render(payload))
-    if args.output != "-":
-        print(f"\nwrote {args.output}")
-    return 0
-
-
-def _command_graph_bench(args) -> int:
-    from .graphs.bench import render_graph_bench, run_graph_bench
-
-    grids = {}
-    for name in ("n_grid", "exact_grid"):
-        raw = getattr(args, name)
-        try:
-            grids[name] = tuple(int(part) for part in str(raw).split(",") if part.strip())
-        except ValueError:
-            print(f"invalid --{name.replace('_', '-')}: {raw!r} (want comma-separated ints)")
-            return 2
-        if not grids[name]:
-            print(f"--{name.replace('_', '-')} must name at least one node count")
-            return 2
-    payload = run_graph_bench(
-        n_grid=grids["n_grid"],
-        exact_grid=grids["exact_grid"],
-        pool_size=args.pool_size,
-        repeats=args.repeats,
-        seed=args.seed,
-        output=None if args.output == "-" else args.output,
-    )
-    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else render_graph_bench(payload))
-    if args.output != "-":
-        print(f"\nmerged graph_scaling into {args.output}")
-    return 0 if payload["ok"] else 1
+def _command_bench(args) -> int:
+    output = args.output or default_output(args.suite, args.check)
+    envelope = run_suite(args.suite, check=args.check, output=None if output == "-" else output)
+    print(json.dumps(envelope, indent=2, sort_keys=True) if args.json else render(envelope))
+    if output not in (None, "-"):
+        print(f"\nwrote {output}")
+    return 0 if envelope["ok"] else 1
 
 
 def _command_export_bundle(args) -> int:
@@ -541,63 +367,6 @@ def _command_serve(args) -> int:
     print(f"listening on http://{args.host}:{server.port}  [{mode}]  (Ctrl-C to stop)")
     serve_forever(server)
     return 0
-
-
-def _command_serving_bench(args) -> int:
-    from .serving import run_serving_bench
-    from .telemetry import render
-
-    snap = run_serving_bench(
-        dataset=args.dataset,
-        scenario=args.scenario,
-        scale_name=args.scale,
-        epochs=args.epochs,
-        pairs=args.pairs,
-        output=None if args.output == "-" else args.output,
-    )
-    if args.json:
-        print(json.dumps(snap, indent=2, sort_keys=True))
-    else:
-        serving = snap["meta"]["serving"]
-        print(render(snap))
-        print(
-            f"\nscore p50: cold {serving['score_cold_p50_s'] * 1e3:.3f}ms vs "
-            f"cached {serving['score_cached_p50_s'] * 1e3:.3f}ms "
-            f"({serving['cached_speedup_p50']:.1f}x)"
-        )
-        print(f"offline parity: max |Δ| = {serving['max_abs_diff_vs_offline']:.2e}")
-    if args.output != "-":
-        print(f"\nwrote {args.output}")
-    return 0
-
-
-def _command_load_bench(args) -> int:
-    from .serving import render_load_bench, run_load_bench
-
-    payload = run_load_bench(
-        dataset=args.dataset,
-        scenario=args.scenario,
-        scale_name=args.scale,
-        epochs=args.epochs,
-        bundle_path=args.bundle,
-        concurrencies=tuple(args.concurrency),
-        duration_s=args.duration,
-        rate_rps=args.rate,
-        pairs_per_request=args.pairs_per_request,
-        embedding_dim=args.dim,
-        tick_interval=args.tick_interval,
-        max_batch_pairs=args.max_batch_pairs,
-        max_queue_depth=args.max_queue_depth,
-        pool_worker_counts=() if args.no_pool else tuple(args.pool_workers),
-        pool_concurrency=args.pool_concurrency,
-        seed=args.seed,
-        output=None if args.output == "-" else args.output,
-        check=args.check,
-    )
-    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else render_load_bench(payload))
-    if args.output != "-":
-        print(f"\nwrote {args.output}")
-    return 0 if payload["ok"] else 1
 
 
 def _command_trace(args) -> int:
@@ -734,26 +503,6 @@ def _command_refresh(args) -> int:
     return 0 if result.accepted else 1
 
 
-def _command_refresh_bench(args) -> int:
-    from .live import render_refresh_bench, run_refresh_bench
-
-    payload = run_refresh_bench(
-        dataset=args.dataset,
-        scale_name=args.scale,
-        refresh_epochs=args.refresh_epochs,
-        swap_threads=args.swap_threads,
-        swap_requests_per_thread=args.swap_requests,
-        swaps=args.swaps,
-        seed=args.seed,
-        output=None if args.output == "-" else args.output,
-        check=args.check,
-    )
-    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else render_refresh_bench(payload))
-    if args.output != "-":
-        print(f"\nwrote {args.output}")
-    return 0 if payload["ok"] else 1
-
-
 def _command_verify(args) -> int:
     from .verify import run_verify
 
@@ -794,21 +543,19 @@ def _command_report(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage errors (unknown command, bad choice) exit 2
+        return exc.code if isinstance(exc.code, int) else 2
     handlers = {
         "run": _command_run,
         "list-models": _command_list_models,
         "datasets": _command_datasets,
-        "telemetry-bench": _command_telemetry_bench,
-        "train-bench": _command_train_bench,
-        "graph-bench": _command_graph_bench,
+        "bench": _command_bench,
         "export-bundle": _command_export_bundle,
         "serve": _command_serve,
-        "serving-bench": _command_serving_bench,
-        "load-bench": _command_load_bench,
         "trace": _command_trace,
         "refresh": _command_refresh,
-        "refresh-bench": _command_refresh_bench,
         "verify": _command_verify,
         "report": _command_report,
     }

@@ -18,9 +18,14 @@ exact and the approximate graph on identical arrays and measures, per node,
 * **Jaccard** — symmetric id overlap, penalising spurious extras too.
 
 :func:`parity_sweep` runs a grid of such cases and aggregates; the committed
-floor lives in ``BENCH_training.json`` (``graph_scaling.overlap``) and is
-enforced fresh by ``tests/graphs/test_candidate_parity.py`` and against the
-committed file by ``benchmarks/test_graph_baseline.py``.
+floor lives in ``BENCH_graphs.json`` (``results.overlap``) and is enforced
+fresh by ``tests/graphs/test_candidate_parity.py`` and against the committed
+file by ``benchmarks/test_graph_baseline.py``.
+
+The module also keeps the pre-optimisation graph builders
+(:func:`pool_reference`, :func:`build_reference`) with the fused build and
+their input generator: the oracles the construction parity tests compare
+against and the baselines of the training suite's graph micro-benchmark.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .construction import DynamicNeighborGraph, build_graph_from_arrays
-from .proximity import combined_proximity
+from .construction import DynamicNeighborGraph, _extend_pools_from_rows, build_graph_from_arrays
+from .proximity import BlockwiseProximity, combined_proximity
 
 __all__ = [
     "DEFAULT_SWEEP",
@@ -41,6 +46,10 @@ __all__ = [
     "parity_sweep",
     "assert_overlap_floor",
     "render_parity",
+    "pool_reference",
+    "build_reference",
+    "build_fused",
+    "synthetic_graph_inputs",
 ]
 
 #: The default sweep grid: node counts small enough that the exact O(n²)
@@ -257,3 +266,65 @@ def render_parity(payload: Dict[str, Any]) -> str:
             f"jaccard mean {entry['jaccard']['mean']:.3f}"
         )
     return "\n".join(lines)
+
+
+# --------------------------------------------------------------------------
+# Reference (pre-optimisation) graph construction: the parity-test oracles
+# of tests/graphs/test_pool_parity.py and the baselines of the training
+# suite's graph micro-benchmark.
+# --------------------------------------------------------------------------
+
+def pool_reference(proximity: np.ndarray, pool_size: int) -> DynamicNeighborGraph:
+    """Per-row top-``pool_size`` extraction, exactly as before vectorisation."""
+    n = proximity.shape[0]
+    pool_size = int(np.clip(pool_size, 1, n - 1))
+    pools: List[np.ndarray] = []
+    weights: List[np.ndarray] = []
+    for i in range(n):
+        row = proximity[i]
+        top = np.argpartition(-row, pool_size - 1)[:pool_size]
+        top = top[np.argsort(-row[top])]
+        w = row[top]
+        finite = np.isfinite(w)
+        top, w = top[finite], w[finite]
+        if len(top) == 0:  # pathological: keep the single best finite entry
+            finite_all = np.flatnonzero(np.isfinite(row))
+            top = finite_all[np.argsort(-row[finite_all])][:1]
+            w = row[top]
+        w = w - w.min() + 1e-6  # strictly positive sampling weights
+        pools.append(top.astype(np.int64))
+        weights.append(w)
+    return DynamicNeighborGraph(pools=pools, weights=weights)
+
+
+def build_reference(
+    attributes: np.ndarray, rating_vectors: np.ndarray, pool_size: int
+) -> DynamicNeighborGraph:
+    """Materialise the full proximity matrix, then pool — the pre-fusion build."""
+    proximity = combined_proximity(attributes, rating_vectors)
+    return pool_reference(proximity, pool_size)
+
+
+def build_fused(
+    attributes: np.ndarray, rating_vectors: np.ndarray, pool_size: int
+) -> DynamicNeighborGraph:
+    """The fused blockwise build (what :func:`build_attribute_graph` runs)."""
+    builder = BlockwiseProximity(attributes, rating_vectors)
+    pools: List[np.ndarray] = []
+    weights: List[np.ndarray] = []
+    for start in range(0, builder.num_nodes, builder.block_rows):
+        block = builder.block(start, start + builder.block_rows)
+        _extend_pools_from_rows(block, pool_size, pools, weights)
+    return DynamicNeighborGraph(pools=pools, weights=weights)
+
+
+def synthetic_graph_inputs(
+    n: int = 2000, attr_dim: int = 60, num_ratings: int = 300, seed: int = 0
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Seeded multi-hot attributes (~8% density) + sparse ratings (~2%)."""
+    rng = np.random.default_rng(seed)
+    attributes = (rng.random((n, attr_dim)) < 0.08).astype(np.float64)
+    ratings = np.where(
+        rng.random((n, num_ratings)) < 0.02, rng.integers(1, 6, (n, num_ratings)), 0
+    ).astype(np.float64)
+    return attributes, ratings

@@ -14,10 +14,10 @@ Three pillars, each usable on its own:
 
 :mod:`.gates` decides promotion (health monitors + RMSE drift vs the
 parent), :mod:`.refresh` turns the full crank (refresh → gate → publish →
-swap), and :mod:`.bench` measures all of it into ``BENCH_refresh.json``.
+swap); the ``refresh`` suite of ``repro bench`` measures all of it into
+``BENCH_refresh.json``.
 """
 
-from .bench import render_refresh_bench, run_refresh_bench
 from .gates import GateConfig, PromotionDecision, evaluate_promotion
 from .incremental import DEFAULT_REFRESH_CONFIG, build_refresh_task, run_incremental_fit, splice_graphs
 from .refresh import RefreshResult, StreamBatch, run_refresh, simulate_stream
@@ -42,6 +42,4 @@ __all__ = [
     "RefreshResult",
     "run_refresh",
     "simulate_stream",
-    "run_refresh_bench",
-    "render_refresh_bench",
 ]

@@ -24,12 +24,12 @@ this package turns it into a *service*:
 * :mod:`~repro.serving.server` — a stdlib JSON HTTP front-end
   (``/score``, ``/topn``, ``/users``, ``/items``, ``/healthz``, ``/metrics``)
   with draining shutdown, single-process or pool-backed (``--workers N``);
-* :mod:`~repro.serving.bench` — the metered producer of ``BENCH_serving.json``;
-* :mod:`~repro.serving.loadgen` — the load generator behind ``repro
-  load-bench`` (open/closed loop, concurrency ramp) and ``BENCH_load.json``.
+* :mod:`~repro.serving.loadgen` — load-generation primitives (closed and
+  open loops, the worker-pool sweep, the tracing phase) behind the
+  ``serving`` suite of ``repro bench``.
 
-CLI entry points: ``repro export-bundle``, ``repro serve``,
-``repro serving-bench``, ``repro load-bench``.
+CLI entry points: ``repro export-bundle``, ``repro serve``, ``repro trace``,
+``repro bench serving``.
 """
 
 from .bundle import (
@@ -50,8 +50,6 @@ from .mapped import (
 from .workers import PoolStoppedError, WorkerCrashedError, WorkerPool
 from .onboarding import encode_attribute_row, splice_neighbours
 from .server import ServingHTTPServer, make_server, serve_forever
-from .bench import EXPECTED_SERVING_SPANS, run_serving_bench
-from .loadgen import render_load_bench, run_load_bench
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
@@ -74,8 +72,4 @@ __all__ = [
     "ServingHTTPServer",
     "make_server",
     "serve_forever",
-    "EXPECTED_SERVING_SPANS",
-    "run_serving_bench",
-    "render_load_bench",
-    "run_load_bench",
 ]

@@ -1,60 +1,33 @@
-"""The load generator: producer of ``BENCH_load.json`` (``repro load-bench``).
+"""Load-generation primitives for the serving suite of ``repro bench``.
 
-Latency-under-concurrency is a tracked number like train throughput: this
-module drives a serving engine with concurrent scoring traffic and reports
-throughput and tail latency for the *direct* path (every caller thread hits
-:meth:`InferenceEngine.score` alone — the single-request baseline) against
-the *batched* path (callers submit through the coalescing
-:class:`~repro.serving.batching.BatchingEngine`).  Two load models:
+* :func:`closed_loop` — ``C`` caller threads each keep exactly one request
+  in flight, back to back, for a fixed duration.  Throughput is completed
+  requests over the overlap window; latency percentiles are per-request wall
+  times.
+* :func:`open_loop` — requests are *scheduled* at a fixed arrival rate
+  regardless of completions, and latency is measured from the scheduled send
+  time, so a backed-up server honestly accumulates queueing delay instead of
+  silently slowing the generator (no coordinated omission).
+* :func:`pool_phase` — for each worker count a
+  :class:`~repro.serving.workers.WorkerPool` is stood up over one bundle
+  (mmap-shared state), checked for bitwise parity against the
+  single-process oracle on *every* worker — before and after an onboarding
+  broadcast — then driven with the closed loop.  Memory sharing is measured
+  from ``/proc/<pid>/smaps``: the per-mapping **Pss** of the bundle's
+  ``mapped/`` files summed over all workers (Pss divides shared pages among
+  their sharers, so N workers over one physical copy sum to ~the same number
+  as one worker — unlike ``VmRSS``, which would count the shared pages N
+  times).  The cell records the machine's ``cpu_count``: throughput can only
+  scale onto cores that exist.
+* :func:`tracing_phase` — traced vs untraced p50 on the direct scoring path,
+  request-interleaved, plus span-loss accounting.
 
-* **closed loop** — ``C`` worker threads each keep exactly one request in
-  flight, back to back, for a fixed duration; run over a concurrency ramp
-  (default 1 → 4 → 16).  Throughput is completed requests over the overlap
-  window; latency percentiles are per-request wall times.
-* **open loop** — requests are *scheduled* at a fixed arrival rate regardless
-  of completions, and latency is measured from the scheduled send time, so a
-  backed-up server honestly accumulates queueing delay instead of silently
-  slowing the generator (no coordinated omission).
-
-Both paths score identical seeded workloads and the batched results are
-checked bitwise against the direct path before any timing runs — the bench
-refuses to compare paths that disagree.  Engines run with ``cache_size=0``:
-the LRU would otherwise answer the second pass from memory and the bench
-would measure the cache, not the serving path.
-
-A third phase sweeps the **multi-process pool** (schema v2): for each worker
-count in ``pool_worker_counts`` a :class:`~repro.serving.workers.WorkerPool`
-is stood up over the same bundle (mmap-shared state), checked for bitwise
-parity against the single-process oracle on *every* worker — before and after
-an onboarding broadcast — then driven with the closed-loop workload.  Memory
-sharing is measured from ``/proc/<pid>/smaps``: the per-mapping **Pss** of the
-bundle's ``mapped/`` files summed over all workers (Pss divides shared pages
-among their sharers, so N workers over one physical copy sum to ~the same
-number as one worker — unlike ``VmRSS``, which would count the shared pages N
-times).  The ``pool`` section records throughput scaling, the mapped-Pss
-growth ratio, parity, respawns, and the machine's ``cpu_count`` — the
-scaling tripwire in ``benchmarks/test_pool_baseline.py`` only binds when the
-recording machine actually had cores to scale onto.
-
-A fourth phase (schema v3) measures **tracing overhead**: the same direct
-scoring workload with and without a per-request
-trace (a fresh trace id activated with ``tracing.trace_scope``) + ingress
-span, best-of-N p50s, plus
-span-loss accounting — the numbers ``benchmarks/test_trace_overhead.py``
-gates at ≤5% overhead and zero dropped spans.
-
-``run_load_bench`` writes the ``BENCH_load.json`` baseline consumed by
-``benchmarks/test_load_baseline.py`` + ``benchmarks/test_pool_baseline.py`` +
-``benchmarks/test_trace_overhead.py`` (the tripwires) and surfaced by
-``repro report``; ``check=True`` is the quick smoke invocation wired into the
-benchmark suite.
+:mod:`repro.bench` composes these into the ``serving`` suite.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -67,11 +40,14 @@ from ..telemetry import metrics, tracing
 from .batching import BatchingEngine, EngineOverloadedError
 from .engine import InferenceEngine
 
-__all__ = ["LOAD_SCHEMA_VERSION", "run_load_bench", "render_load_bench"]
-
-#: v2 added the multi-process ``pool`` section; v3 the ``tracing`` overhead
-#: section (traced vs untraced p50 + span-loss accounting)
-LOAD_SCHEMA_VERSION = 3
+__all__ = [
+    "closed_loop",
+    "open_loop",
+    "pool_phase",
+    "tracing_phase",
+    "batch_distribution",
+    "TRACE_PAIRS_PER_REQUEST",
+]
 
 _MS = 1e3
 
@@ -106,7 +82,7 @@ def _request_slices(
     ]
 
 
-def _closed_loop(
+def closed_loop(
     score,
     users: np.ndarray,
     items: np.ndarray,
@@ -155,7 +131,7 @@ def _closed_loop(
     return _summarise(flat, completed=len(flat) - sum(errors), elapsed=elapsed, errors=sum(errors), shed=0)
 
 
-def _open_loop(
+def open_loop(
     score,
     users: np.ndarray,
     items: np.ndarray,
@@ -203,7 +179,7 @@ def _open_loop(
     return summary
 
 
-def _batch_distribution(name: str) -> Dict[str, float]:
+def batch_distribution(name: str) -> Dict[str, float]:
     histogram = metrics.get_registry().histograms().get(name)
     if histogram is None:
         return {}
@@ -259,7 +235,7 @@ def _total_pss_kb(pid: int) -> Optional[float]:
         return None
 
 
-def _pool_phase(
+def pool_phase(
     bundle_dir: Path,
     oracle: InferenceEngine,
     users: np.ndarray,
@@ -307,7 +283,7 @@ def _pool_phase(
             total_pss = [_total_pss_kb(pid) for pid in pids]
             have_pss = all(v is not None for v in mapped_pss)
 
-            cell = _closed_loop(
+            cell = closed_loop(
                 pool.score, users, items, concurrency, duration_s, pairs_per_request
             )
             cell["workers"] = int(workers)
@@ -381,13 +357,13 @@ def _pool_phase(
 TRACE_PAIRS_PER_REQUEST = 1024
 
 
-def _tracing_phase(
+def tracing_phase(
     engine: InferenceEngine,
     users: np.ndarray,
     items: np.ndarray,
+    requests: int,
+    rounds: int,
     pairs_per_request: int = TRACE_PAIRS_PER_REQUEST,
-    requests: int = 200,
-    repeats: int = 3,
 ) -> Dict[str, Any]:
     """Traced vs untraced p50 on the direct scoring path, request-interleaved.
 
@@ -397,11 +373,11 @@ def _tracing_phase(
     in the ingress ``serve.request`` span, exactly what the HTTP front door
     does.  The two conditions alternate request by request within each
     round, so machine drift (CPU frequency, co-tenants, GC) lands on both
-    distributions equally instead of being misattributed to tracing; ``overhead_x`` is the smallest traced/untraced
-    p50 ratio over ``repeats`` rounds.  This is the number the
-    ``benchmarks/test_trace_overhead.py`` tripwire gates at ≤5%; span records
-    are reset first so ``span_dropped`` counts loss caused by *this phase*,
-    not earlier load cells filling the ring.
+    distributions equally instead of being misattributed to tracing.  After
+    one warmup round, each of ``rounds`` rounds yields one traced/untraced
+    p50 ratio in ``round_overhead_x``.  Span records are reset after the
+    warmup so ``span_dropped`` counts loss caused by *this phase*, not
+    earlier load cells filling the ring.
     """
     slices = _request_slices(users, items, pairs_per_request)
     n = max(1, int(requests))
@@ -419,414 +395,18 @@ def _tracing_phase(
                 with tracing.span("serve.request"):
                     engine.score(u, i)
             traced[idx] = time.perf_counter() - t0
-        return (
-            float(np.percentile(untraced, 50)),
-            float(np.percentile(traced, 50)),
-        )
+        return float(np.percentile(untraced, 50)), float(np.percentile(traced, 50))
 
     _round()  # warmup: caches, lazy allocations
     tracing.reset_spans()
-    best = min(
-        (_round() for _ in range(repeats)),
-        key=lambda r: (r[1] / r[0]) if r[0] else float("inf"),
-    )
-    spans_recorded = len(tracing.export_spans())
-    span_dropped = tracing.dropped_records()
+    measured = [_round() for _ in range(max(1, int(rounds)))]
     return {
         "requests": int(n),
-        "repeats": int(repeats),
+        "rounds": len(measured),
         "pairs_per_request": int(pairs_per_request),
-        "untraced_p50_ms": float(best[0] * _MS),
-        "traced_p50_ms": float(best[1] * _MS),
-        "overhead_x": float(best[1] / best[0]) if best[0] else 0.0,
-        "spans_recorded": int(spans_recorded),
-        "span_dropped": int(span_dropped),
+        "untraced_p50_ms": [untraced * _MS for untraced, _ in measured],
+        "traced_p50_ms": [traced * _MS for _, traced in measured],
+        "round_overhead_x": [traced / untraced for untraced, traced in measured],
+        "spans_recorded": len(tracing.export_spans()),
+        "span_dropped": int(tracing.dropped_records()),
     }
-
-
-def run_load_bench(
-    dataset: str = "ML-100K",
-    scenario: str = "item_cold",
-    scale_name: str = "smoke",
-    epochs: Optional[int] = 2,
-    bundle_path: Optional[str] = None,
-    concurrencies: Sequence[int] = (1, 4, 16),
-    duration_s: float = 1.0,
-    rate_rps: float = 300.0,
-    pairs_per_request: int = 16,
-    embedding_dim: Optional[int] = 40,
-    parity_pairs: int = 512,
-    tick_interval: float = 0.0,
-    max_batch_pairs: int = 8192,
-    max_queue_depth: int = 4096,
-    pool_worker_counts: Sequence[int] = (1, 2, 4),
-    pool_concurrency: int = 8,
-    seed: int = 0,
-    output: Optional[str] = "BENCH_load.json",
-    check: bool = False,
-) -> Dict[str, Any]:
-    """Run the full load matrix; write ``output`` unless ``None``.
-
-    Each request scores a ``pairs_per_request`` candidate set (the reranking
-    shape a recommender front-end actually sends), and the bundle is trained
-    at ``embedding_dim`` (default 40 — the paper's dimension, instead of the
-    smoke scale's test-suite toy dimension) so the serving compute being
-    coalesced is representative.  The batching engine runs in its default
-    adaptive-drain mode (``tick_interval=0``): batches are whatever queued
-    while the previous fused call executed, so no request ever waits on an
-    artificial window — the configuration whose throughput this baseline
-    actually pins.  ``check`` shrinks everything (one short cell
-    per mode, no open loop) into a seconds-scale smoke invocation that still
-    exercises training → bundle → both serving paths → parity; the tripwire
-    suite runs it through the CLI.
-    """
-    from .bundle import export_bundle, load_bundle
-
-    if check:
-        concurrencies = tuple(concurrencies[:2]) or (1, 4)
-        duration_s = min(duration_s, 0.3)
-        if pool_worker_counts:
-            pool_worker_counts = tuple(sorted(set(pool_worker_counts)))[:2] or (1, 2)
-
-    # The pool phase spawns workers that open the bundle *directory*, so a
-    # trained throwaway bundle must outlive this whole function body — the
-    # tempdir is cleaned up in the final finally, not at load time.
-    scratch: Optional[tempfile.TemporaryDirectory] = None
-    try:
-        if bundle_path is not None:
-            bundle_dir = Path(bundle_path)
-            bundle = load_bundle(bundle_dir)
-            epochs_trained = None
-        else:
-            from dataclasses import replace
-
-            from ..core import AGNN
-            from ..data import make_split
-            from ..experiments.configs import get_scale
-            from ..nn import init as nn_init
-
-            scale = get_scale(scale_name)
-            train_config = scale.train if epochs is None else replace(scale.train, epochs=epochs)
-            data = scale.datasets[dataset]()
-            nn_init.seed(scale.seed)
-            task = make_split(data, scenario, scale.split_fraction, seed=scale.seed)
-            agnn_config = (
-                scale.agnn
-                if embedding_dim is None
-                else replace(scale.agnn, embedding_dim=embedding_dim)
-            )
-            model = AGNN(agnn_config, rng_seed=scale.seed)
-            history = model.fit(task, train_config)
-            epochs_trained = history.num_epochs
-            scratch = tempfile.TemporaryDirectory(prefix="repro-load-")
-            bundle_dir = export_bundle(
-                model, task, Path(scratch.name) / "bundle", note="load-bench"
-            )
-            bundle = load_bundle(bundle_dir)
-
-        return _run_load_bench_phases(
-            bundle=bundle,
-            bundle_dir=bundle_dir,
-            dataset=dataset,
-            scenario=scenario,
-            scale_name=scale_name,
-            epochs_trained=epochs_trained,
-            concurrencies=concurrencies,
-            duration_s=duration_s,
-            rate_rps=rate_rps,
-            pairs_per_request=pairs_per_request,
-            embedding_dim=embedding_dim,
-            parity_pairs=parity_pairs,
-            tick_interval=tick_interval,
-            max_batch_pairs=max_batch_pairs,
-            max_queue_depth=max_queue_depth,
-            pool_worker_counts=tuple(pool_worker_counts),
-            pool_concurrency=pool_concurrency,
-            seed=seed,
-            output=output,
-            check=check,
-        )
-    finally:
-        if scratch is not None:
-            scratch.cleanup()
-
-
-def _run_load_bench_phases(
-    bundle,
-    bundle_dir: Path,
-    dataset: str,
-    scenario: str,
-    scale_name: str,
-    epochs_trained: Optional[int],
-    concurrencies: Sequence[int],
-    duration_s: float,
-    rate_rps: float,
-    pairs_per_request: int,
-    embedding_dim: Optional[int],
-    parity_pairs: int,
-    tick_interval: float,
-    max_batch_pairs: int,
-    max_queue_depth: int,
-    pool_worker_counts: Sequence[int],
-    pool_concurrency: int,
-    seed: int,
-    output: Optional[str],
-    check: bool,
-) -> Dict[str, Any]:
-    metrics.reset()
-    tracing.reset_spans()
-    with metrics.enabled():
-        # cache_size=0: measure the serving path, not the LRU.
-        engine = InferenceEngine(bundle, cache_size=0)
-        rng = np.random.default_rng(seed)
-        pool = 4096
-        users = rng.integers(0, engine.num_users, size=pool).astype(np.int64)
-        items = rng.integers(0, engine.num_items, size=pool).astype(np.int64)
-
-        batching = BatchingEngine(
-            engine,
-            max_batch_pairs=max_batch_pairs,
-            max_queue_depth=max_queue_depth,
-            tick_interval=tick_interval,
-        )
-        try:
-            # Parity gate: the coalesced path must be bitwise the direct path.
-            count = min(parity_pairs, pool)
-            direct_ref = engine.score(users[:count], items[:count])
-            chunk = 7  # deliberately awkward splits so coalescing has to fuse
-            futures = [
-                batching.submit_score(
-                    users[lo : min(lo + chunk, count)], items[lo : min(lo + chunk, count)]
-                )
-                for lo in range(0, count, chunk)
-            ]
-            batched_ref = np.concatenate([future.result(60.0) for future in futures])
-            max_abs_diff = float(np.max(np.abs(direct_ref - batched_ref))) if count else 0.0
-            parity_ok = bool(np.array_equal(direct_ref, batched_ref))
-
-            closed: Dict[str, Dict[str, Dict[str, Any]]] = {"direct": {}, "batched": {}}
-            for concurrency in concurrencies:
-                closed["direct"][str(concurrency)] = _closed_loop(
-                    engine.score, users, items, concurrency, duration_s, pairs_per_request
-                )
-                closed["batched"][str(concurrency)] = _closed_loop(
-                    batching.score, users, items, concurrency, duration_s, pairs_per_request
-                )
-
-            open_loop: Dict[str, Any] = {}
-            if not check:
-                open_loop = {
-                    "rate_rps": float(rate_rps),
-                    "duration_s": float(duration_s),
-                    "direct": _open_loop(
-                        engine.score, users, items, rate_rps, duration_s, pairs_per_request
-                    ),
-                    "batched": _open_loop(
-                        batching.score, users, items, rate_rps, duration_s, pairs_per_request
-                    ),
-                }
-
-            batching_stats = batching.stats()
-        finally:
-            batching.stop(drain=True)
-
-        tracing_section = _tracing_phase(
-            engine,
-            users,
-            items,
-            requests=60 if check else 300,
-            repeats=2 if check else 3,
-        )
-
-        pool_section: Dict[str, Any] = {}
-        if pool_worker_counts:
-            pool_section = _pool_phase(
-                bundle_dir,
-                engine,
-                users,
-                items,
-                pool_worker_counts,
-                pool_concurrency,
-                duration_s,
-                pairs_per_request,
-                parity_pairs,
-                max_batch_pairs,
-                max_queue_depth,
-            )
-
-        counters = metrics.get_registry().counters()
-        batch_telemetry = {
-            "ticks": batching_stats["ticks"],
-            "coalesced_requests": batching_stats["coalesced_requests"],
-            "fallbacks": batching_stats["fallbacks"],
-            "shed": batching_stats["shed"],
-            "shed_counter": int(counters.get("serve.shed", 0)),
-            "batch_pairs": _batch_distribution("serve.batch.size"),
-            "queue_wait": _batch_distribution("serve.batch.wait"),
-        }
-
-    top = str(max(concurrencies))
-    direct_top = closed["direct"][top]
-    batched_top = closed["batched"][top]
-    summary = {
-        "top_concurrency": int(top),
-        "direct_throughput_rps": direct_top["throughput_rps"],
-        "batched_throughput_rps": batched_top["throughput_rps"],
-        "throughput_gain_x": (
-            batched_top["throughput_rps"] / direct_top["throughput_rps"]
-            if direct_top["throughput_rps"]
-            else 0.0
-        ),
-        "direct_p99_ms": direct_top["p99_ms"],
-        "batched_p99_ms": batched_top["p99_ms"],
-        "p99_gain_x": (
-            direct_top["p99_ms"] / batched_top["p99_ms"] if batched_top["p99_ms"] else 0.0
-        ),
-    }
-    if pool_section:
-        summary["pool_workers"] = int(max(pool_section["worker_counts"]))
-        summary["pool_scaling_x"] = pool_section["scaling_x"]
-        summary["pool_rss_growth_x"] = pool_section["rss_growth_x"]
-    summary["trace_overhead_x"] = tracing_section["overhead_x"]
-
-    total_errors = sum(
-        cell["errors"] for mode in closed.values() for cell in mode.values()
-    )
-    payload: Dict[str, Any] = {
-        "schema_version": LOAD_SCHEMA_VERSION,
-        "meta": {
-            "dataset": dataset,
-            "scenario": scenario,
-            "scale": scale_name,
-            "epochs_trained": epochs_trained,
-            "seed": int(seed),
-            "check": bool(check),
-            "users": int(engine.num_users),
-            "items": int(engine.num_items),
-            "pairs_per_request": int(pairs_per_request),
-            "embedding_dim": None if embedding_dim is None else int(embedding_dim),
-            "engine": {
-                "cache_size": 0,
-                "tick_interval_s": float(tick_interval),
-                "max_batch_pairs": int(max_batch_pairs),
-                "max_queue_depth": int(max_queue_depth),
-            },
-            "parity": {
-                "ok": parity_ok,
-                "max_abs_diff": max_abs_diff,
-                "pairs": int(count),
-            },
-        },
-        "closed_loop": {
-            "duration_s": float(duration_s),
-            "concurrencies": [int(c) for c in concurrencies],
-            **closed,
-        },
-        "open_loop": open_loop,
-        "batching": batch_telemetry,
-        "tracing": tracing_section,
-        "pool": pool_section,
-        "summary": summary,
-        "ok": bool(
-            parity_ok
-            and total_errors == 0
-            and (not pool_section or pool_section["ok"])
-        ),
-    }
-
-    if output is not None:
-        with open(output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return payload
-
-
-def render_load_bench(payload: Dict[str, Any]) -> str:
-    """Human-readable table for one load-bench payload."""
-    lines: List[str] = []
-    meta = payload["meta"]
-    parity = meta["parity"]
-    lines.append(
-        f"load-bench {meta['dataset']}/{meta['scenario']} — "
-        f"{meta['users']} users × {meta['items']} items"
-        + ("  [check]" if meta.get("check") else "")
-    )
-    lines.append(
-        f"parity: {'ok' if parity['ok'] else 'FAILED'} "
-        f"(max |Δ| = {parity['max_abs_diff']:.2e} over {parity['pairs']} pairs)"
-    )
-    lines.append("")
-    lines.append(f"{'mode':<8} {'conc':>4} {'req/s':>9} {'p50':>9} {'p95':>9} {'p99':>9} {'errors':>6}")
-    closed = payload["closed_loop"]
-    for mode in ("direct", "batched"):
-        for concurrency in closed["concurrencies"]:
-            cell = closed[mode][str(concurrency)]
-            lines.append(
-                f"{mode:<8} {concurrency:>4} {cell['throughput_rps']:>9.1f} "
-                f"{cell['p50_ms']:>7.2f}ms {cell['p95_ms']:>7.2f}ms "
-                f"{cell['p99_ms']:>7.2f}ms {cell['errors']:>6d}"
-            )
-    open_loop = payload.get("open_loop") or {}
-    if open_loop:
-        lines.append("")
-        lines.append(f"open loop @ {open_loop['rate_rps']:.0f} req/s:")
-        for mode in ("direct", "batched"):
-            cell = open_loop[mode]
-            lines.append(
-                f"  {mode:<8} p50 {cell['p50_ms']:.2f}ms  p99 {cell['p99_ms']:.2f}ms  "
-                f"completed {cell['requests']}  shed {cell['shed']}"
-            )
-    pool = payload.get("pool") or {}
-    if pool:
-        lines.append("")
-        lines.append(
-            f"worker pool (closed loop, c={pool['concurrency']}, "
-            f"{pool['cpu_count']} cpu): parity {'ok' if pool['parity'] else 'FAILED'}, "
-            f"onboard parity {'ok' if pool['onboard_parity'] else 'FAILED'}, "
-            f"respawns {pool['respawns']}"
-        )
-        for workers in pool["worker_counts"]:
-            cell = pool["cells"][str(workers)]
-            pss = cell.get("mapped_pss_kb")
-            pss_text = f"{pss / 1024.0:.1f}MB mapped-pss" if pss is not None else "pss n/a"
-            lines.append(
-                f"  {workers} worker(s): {cell['throughput_rps']:>9.1f} req/s  "
-                f"p99 {cell['p99_ms']:.2f}ms  {pss_text}  errors {cell['errors']}"
-            )
-        growth = pool.get("rss_growth_x")
-        growth_text = f"{growth:.2f}x" if growth is not None else "n/a"
-        lines.append(
-            f"  scaling {pool['scaling_x']:.2f}x "
-            f"({min(pool['worker_counts'])}→{max(pool['worker_counts'])} workers), "
-            f"mapped-pss growth {growth_text}"
-        )
-    trace_section = payload.get("tracing") or {}
-    if trace_section:
-        lines.append("")
-        lines.append(
-            f"tracing: p50 {trace_section['traced_p50_ms']:.2f}ms traced vs "
-            f"{trace_section['untraced_p50_ms']:.2f}ms untraced "
-            f"({trace_section['overhead_x']:.3f}x), "
-            f"{trace_section['spans_recorded']} spans recorded, "
-            f"{trace_section['span_dropped']} dropped"
-        )
-    batching = payload.get("batching") or {}
-    if batching.get("batch_pairs"):
-        pairs = batching["batch_pairs"]
-        lines.append("")
-        lines.append(
-            f"coalescing: {batching['ticks']} ticks, "
-            f"{batching['coalesced_requests']} coalesced requests, "
-            f"batch p50 {pairs.get('p50', 0.0):.0f} pairs (max {pairs.get('max', 0.0):.0f}), "
-            f"shed {batching['shed']}"
-        )
-    summary = payload["summary"]
-    lines.append("")
-    lines.append(
-        f"c={summary['top_concurrency']}: batched {summary['batched_throughput_rps']:.1f} req/s vs "
-        f"direct {summary['direct_throughput_rps']:.1f} req/s "
-        f"({summary['throughput_gain_x']:.2f}x); "
-        f"p99 {summary['batched_p99_ms']:.2f}ms vs {summary['direct_p99_ms']:.2f}ms "
-        f"({summary['p99_gain_x']:.2f}x)"
-    )
-    return "\n".join(lines)

@@ -23,9 +23,9 @@ The pieces:
   merge of per-worker snapshots and Chrome trace JSON;
 * :mod:`~repro.telemetry.profiler` — :class:`AutogradProfiler`, which meters
   every autograd primitive (counts, forward/backward time, allocation);
-* :mod:`~repro.telemetry.report` — JSON snapshots (the
-  ``BENCH_telemetry.json`` schema), a human-readable table and the
-  ``repro report`` health report.
+* :mod:`~repro.telemetry.report` — JSON snapshots (the span/op section of
+  ``BENCH_training.json``), a human-readable table and the ``repro report``
+  health report.
 
 The training-health monitors read numpy arrays and the autograd engine, so
 they live in :mod:`repro.train.monitors`; this package imports only the
@@ -37,7 +37,6 @@ bit-identical at every level.
 """
 
 from . import events, export, metrics, profiler, report, tracing
-from .bench import run_telemetry_bench
 from .metrics import (
     ENV_VAR,
     FULL,
@@ -113,7 +112,6 @@ __all__ = [
     "snapshot",
     "write_snapshot",
     "render",
-    "run_telemetry_bench",
     "events",
     "export",
     "metrics",

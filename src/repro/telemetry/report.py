@@ -1,8 +1,8 @@
 """Reports: telemetry snapshots and the ``repro report`` health report.
 
 **Snapshots.**  The snapshot schema (``schema_version`` 1) is the contract
-future perf PRs regress against — ``BENCH_telemetry.json`` is a serialised
-snapshot::
+future perf PRs regress against — ``BENCH_training.json`` carries one under
+``results.snapshot``::
 
     {
       "schema_version": 1,
@@ -29,8 +29,9 @@ CI):
 2. a telemetry snapshot — span totals and the serving latency histograms;
 3. the fitted model's :class:`~repro.train.history.TrainHistory` (recovered
    from the ``fit_end`` event);
-4. the committed ``BENCH_*.json`` baselines — the fresh run's throughput and
-   latencies are reported as deltas against them.
+4. the committed ``BENCH_*.json`` envelopes of ``repro bench`` — every
+   committed metric that the fresh run also observed (same name) is reported
+   with its delta.
 
 :func:`run_smoke_report` performs a real seeded smoke fit at level ``full``
 plus a short serving exercise, then reports on it — the one-command health
@@ -151,16 +152,6 @@ def render(snap: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-# ------------------------------------------------------------- health report
-_BENCH_FILES = (
-    "BENCH_training.json",
-    "BENCH_serving.json",
-    "BENCH_load.json",
-    "BENCH_refresh.json",
-    "BENCH_telemetry.json",
-)
-
-
 # ------------------------------------------------------------------ assembling
 def _latest_monitor_readings(events: List[Dict[str, Any]]) -> Dict[str, Dict[str, float]]:
     readings: Dict[str, Dict[str, float]] = {}
@@ -184,90 +175,34 @@ def _serving_latency(snapshot: Dict[str, Any]) -> Dict[str, Dict[str, float]]:
 
 
 def _bench_deltas(bench_dir: Path, observed: Dict[str, Any]) -> Dict[str, Any]:
-    """Committed-baseline deltas for whichever BENCH files are present."""
+    """Each committed envelope's ``metrics``, diffed against same-named observations."""
     out: Dict[str, Any] = {}
-    for filename in _BENCH_FILES:
-        path = bench_dir / filename
-        if not path.is_file():
-            out[filename] = {"present": False}
-            continue
+    for path in sorted(bench_dir.glob("BENCH_*.json")):
         try:
-            committed = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            out[filename] = {"present": False, "error": str(exc)}
+            envelope = json.loads(path.read_text())
+            committed = dict(envelope["metrics"])
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            out[path.name] = {"present": False, "error": str(exc)}
             continue
-        entry: Dict[str, Any] = {"present": True}
-        if filename == "BENCH_training.json":
-            committed_bps = committed.get("training", {}).get("batches_per_sec")
-            entry["committed_batches_per_sec"] = committed_bps
-            entry["committed_rmse"] = committed.get("meta", {}).get("rmse")
-            fresh_bps = observed.get("batches_per_sec")
-            if committed_bps and fresh_bps:
-                entry["observed_batches_per_sec"] = fresh_bps
-                entry["throughput_delta_pct"] = 100.0 * (fresh_bps - committed_bps) / committed_bps
-            fresh_rmse = observed.get("rmse")
-            if fresh_rmse is not None and entry["committed_rmse"] is not None:
-                entry["observed_rmse"] = fresh_rmse
-                entry["rmse_matches_committed"] = bool(fresh_rmse == entry["committed_rmse"])
-            graph_scaling = committed.get("graph_scaling")
-            if graph_scaling:
-                entry["committed_graph_score_recall"] = graph_scaling.get(
-                    "overlap", {}
-                ).get("mean_score_recall")
-                entry["committed_graph_exponent"] = graph_scaling.get("approx_exponent")
-                entry["committed_graph_max_n"] = graph_scaling.get("max_n")
-        elif filename == "BENCH_serving.json":
-            serving = committed.get("meta", {}).get("serving", {})
-            entry["committed_score_cold_p50_s"] = serving.get("score_cold_p50_s")
-            entry["committed_score_cached_p50_s"] = serving.get("score_cached_p50_s")
-            fresh_p50 = observed.get("score_p50_s")
-            if fresh_p50 is not None and serving.get("score_cold_p50_s"):
-                entry["observed_score_p50_s"] = fresh_p50
-                entry["score_p50_delta_pct"] = (
-                    100.0 * (fresh_p50 - serving["score_cold_p50_s"]) / serving["score_cold_p50_s"]
-                )
-        elif filename == "BENCH_load.json":
-            summary = committed.get("summary", {})
-            entry["committed_top_concurrency"] = summary.get("top_concurrency")
-            entry["committed_direct_throughput_rps"] = summary.get("direct_throughput_rps")
-            entry["committed_batched_throughput_rps"] = summary.get("batched_throughput_rps")
-            entry["committed_throughput_gain_x"] = summary.get("throughput_gain_x")
-            entry["committed_p99_gain_x"] = summary.get("p99_gain_x")
-            entry["committed_parity_ok"] = committed.get("meta", {}).get("parity", {}).get("ok")
-            pool = committed.get("pool") or {}
-            if pool:
-                entry["committed_pool_workers"] = max(pool.get("worker_counts", [0]))
-                entry["committed_pool_scaling_x"] = pool.get("scaling_x")
-                entry["committed_pool_rss_growth_x"] = pool.get("rss_growth_x")
-                entry["committed_pool_parity_ok"] = pool.get("parity")
-                entry["committed_pool_cpu_count"] = pool.get("cpu_count")
-            trace_section = committed.get("tracing") or {}
-            if trace_section:
-                entry["committed_trace_overhead_x"] = trace_section.get("overhead_x")
-                entry["committed_trace_span_dropped"] = trace_section.get("span_dropped")
-            fresh_p50 = observed.get("score_p50_s")
-            batched = (
-                committed.get("closed_loop", {})
-                .get("batched", {})
-                .get(str(summary.get("top_concurrency")), {})
-            )
-            if fresh_p50 is not None and batched.get("p50_ms"):
-                entry["observed_score_p50_s"] = fresh_p50
-                entry["load_p50_delta_pct"] = (
-                    100.0 * (fresh_p50 * 1e3 - batched["p50_ms"]) / batched["p50_ms"]
-                )
-        elif filename == "BENCH_refresh.json":
-            refresh = committed.get("refresh", {})
-            swap = committed.get("swap", {})
-            entry["committed_speedup_x"] = refresh.get("speedup_x")
-            entry["committed_rmse_ratio"] = refresh.get("rmse_ratio")
-            entry["committed_swap_errors"] = swap.get("errors")
-            entry["committed_swap_requests"] = swap.get("requests")
-            entry["committed_swap_mismatches"] = swap.get("mismatched_responses")
-            entry["committed_ok"] = committed.get("ok")
-        elif filename == "BENCH_telemetry.json":
-            entry["committed_spans"] = len(committed.get("spans", {}))
-        out[filename] = entry
+        deltas: Dict[str, Dict[str, Any]] = {}
+        for name, value in committed.items():
+            fresh = observed.get(name)
+            if fresh is None or isinstance(value, bool) or not isinstance(value, (int, float)):
+                continue
+            deltas[name] = {
+                "committed": value,
+                "observed": fresh,
+                "equal": bool(fresh == value),
+                "delta_pct": 100.0 * (fresh - value) / value if value else None,
+            }
+        out[path.name] = {
+            "present": True,
+            "suite": envelope.get("suite"),
+            "preset": envelope.get("preset"),
+            "ok": envelope.get("ok"),
+            "metrics": committed,
+            "deltas": deltas,
+        }
     return out
 
 
@@ -347,14 +282,9 @@ def run_smoke_report(
     import numpy as np
 
     # Imported here: repro.telemetry stays stdlib-only at import time.
-    from ..cli import model_factory
-    from ..data import make_split
+    from ..bench import smoke_bundle, smoke_fit
     from ..experiments.configs import get_scale
-    from ..nn import init as nn_init
-    from ..serving import InferenceEngine, export_bundle, load_bundle
-
-    scale = get_scale(scale_name)
-    data = scale.datasets[dataset]()
+    from ..serving import InferenceEngine, load_bundle
 
     previous_log = events_mod._default_log
     log = events_mod.EventLog(path=events_path)
@@ -363,18 +293,10 @@ def run_smoke_report(
     tracing.reset_spans()
     try:
         with metrics.at_level(metrics.FULL):
-            nn_init.seed(scale.seed)
-            task = make_split(data, scenario, scale.split_fraction, seed=scale.seed)
-            model = model_factory("AGNN", scale)()
-            history = model.fit(task, scale.train)
-            result = model.evaluate(task)
-
-            import tempfile
-
-            with tempfile.TemporaryDirectory(prefix="repro-report-") as tmp:
-                bundle = load_bundle(export_bundle(model, task, Path(tmp) / "bundle", note="repro report"))
-                engine = InferenceEngine(bundle)
-                rng = np.random.default_rng(scale.seed)
+            fit = smoke_fit(scale_name, dataset, scenario)
+            with smoke_bundle(fit) as bundle_dir:
+                engine = InferenceEngine(load_bundle(bundle_dir))
+                rng = np.random.default_rng(get_scale(scale_name).seed)
                 users = rng.integers(0, engine.num_users, size=pairs)
                 items = rng.integers(0, engine.num_items, size=pairs)
                 with tracing.span("serve.request"):
@@ -386,9 +308,9 @@ def run_smoke_report(
         events_mod.set_event_log(previous_log)
 
     observed = {
-        "rmse": result.rmse,
-        "mae": result.mae,
-        "epochs_trained": history.num_epochs,
+        "rmse": fit.result.rmse,
+        "mae": fit.result.mae,
+        "epochs_trained": fit.history.num_epochs,
         "score_pairs": int(pairs),
     }
     return build_report(log.events(), snapshot=snap, bench_dir=bench_dir, observed=observed)
@@ -457,65 +379,23 @@ def render_report(report: Dict[str, Any]) -> str:
 
     lines.append("")
     lines.append("## Baseline deltas")
-    for filename, entry in sorted(report.get("bench", {}).items()):
+    bench = report.get("bench", {})
+    if not bench:
+        lines.append("- no committed BENCH_*.json envelopes found")
+    for filename, entry in sorted(bench.items()):
         if not entry.get("present"):
-            lines.append(f"- {filename}: not found")
+            lines.append(f"- {filename}: unreadable ({entry.get('error')})")
             continue
-        if "throughput_delta_pct" in entry:
-            lines.append(
-                f"- {filename}: {entry['observed_batches_per_sec']:.1f} batches/s vs committed "
-                f"{entry['committed_batches_per_sec']:.1f} ({entry['throughput_delta_pct']:+.1f}%)"
-                + ("" if entry.get("rmse_matches_committed") is None
-                   else f"; rmse {'matches' if entry['rmse_matches_committed'] else 'DIFFERS FROM'} committed")
+        lines.append(
+            f"- {filename} ({entry['suite']}, {entry['preset']}, "
+            f"{'ok' if entry.get('ok') else 'NOT OK'}): {len(entry['metrics'])} metrics"
+        )
+        for name, delta in sorted(entry["deltas"].items()):
+            change = "equal" if delta["equal"] else (
+                "n/a" if delta["delta_pct"] is None else f"{delta['delta_pct']:+.1f}%"
             )
-            if entry.get("committed_graph_score_recall") is not None:
-                lines.append(
-                    f"- {filename} (graph_scaling): mean score recall "
-                    f"{entry['committed_graph_score_recall']:.3f}, inverted-build exponent "
-                    f"{entry['committed_graph_exponent']:.2f} up to n={entry['committed_graph_max_n']}"
-                )
-        elif "score_p50_delta_pct" in entry:
             lines.append(
-                f"- {filename}: score p50 {_format_seconds(entry['observed_score_p50_s'])} vs committed cold "
-                f"{_format_seconds(entry['committed_score_cold_p50_s'])} ({entry['score_p50_delta_pct']:+.1f}%)"
+                f"  - {name}: observed {delta['observed']:.6g} vs committed "
+                f"{delta['committed']:.6g} ({change})"
             )
-        elif "committed_throughput_gain_x" in entry and entry["committed_throughput_gain_x"]:
-            lines.append(
-                f"- {filename}: c={entry['committed_top_concurrency']} batched "
-                f"{entry['committed_batched_throughput_rps']:.1f} req/s vs direct "
-                f"{entry['committed_direct_throughput_rps']:.1f} req/s "
-                f"({entry['committed_throughput_gain_x']:.2f}x throughput, "
-                f"{entry['committed_p99_gain_x']:.2f}x p99)"
-                + ("" if entry.get("load_p50_delta_pct") is None
-                   else f"; fresh score p50 {_format_seconds(entry['observed_score_p50_s'])} "
-                        f"({entry['load_p50_delta_pct']:+.1f}% vs committed batched p50)")
-            )
-            if entry.get("committed_pool_scaling_x") is not None:
-                growth = entry.get("committed_pool_rss_growth_x")
-                growth_text = "n/a" if growth is None else f"{growth:.2f}x"
-                lines.append(
-                    f"- {filename} (pool): {entry['committed_pool_workers']} workers "
-                    f"{entry['committed_pool_scaling_x']:.2f}x throughput scaling, "
-                    f"mapped-pss growth {growth_text}, parity "
-                    f"{'ok' if entry.get('committed_pool_parity_ok') else 'NOT OK'} "
-                    f"(recorded on {entry.get('committed_pool_cpu_count')} cpu)"
-                )
-            if entry.get("committed_trace_overhead_x") is not None:
-                lines.append(
-                    f"- {filename} (tracing): {entry['committed_trace_overhead_x']:.3f}x "
-                    f"traced/untraced p50, "
-                    f"{entry.get('committed_trace_span_dropped', 0)} spans dropped"
-                )
-        elif "committed_speedup_x" in entry and entry["committed_speedup_x"]:
-            lines.append(
-                f"- {filename}: warm refresh {entry['committed_speedup_x']:.2f}x faster than "
-                f"scratch at rmse ratio {entry['committed_rmse_ratio']:.4f}; "
-                f"{entry['committed_swap_requests']} swap-load requests with "
-                f"{entry['committed_swap_errors']} errors / "
-                f"{entry['committed_swap_mismatches']} mixed responses "
-                f"({'ok' if entry.get('committed_ok') else 'NOT OK'})"
-            )
-        else:
-            keys = ", ".join(f"{k}={v}" for k, v in entry.items() if k != "present")
-            lines.append(f"- {filename}: present ({keys})")
     return "\n".join(lines) + "\n"

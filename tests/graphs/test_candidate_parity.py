@@ -21,13 +21,13 @@ from repro.graphs.construction import CANDIDATE_STRATEGIES, build_graph_from_arr
 from repro.graphs.parity import (
     DEFAULT_SWEEP,
     assert_overlap_floor,
+    build_fused,
     parity_case,
     parity_sweep,
     pool_overlap,
     synthetic_inputs,
 )
 from repro.graphs.proximity import combined_proximity
-from repro.perf import build_fused
 
 pytestmark = pytest.mark.graphs
 

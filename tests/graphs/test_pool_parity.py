@@ -2,8 +2,8 @@
 
 The blockwise pool extraction and the fused proximity builder replaced
 per-row / materialise-everything implementations.  These tests pin the
-optimised paths to the originals, which live on in ``repro.perf.bench`` as
-the micro-benchmark baselines:
+optimised paths to the originals, which live on in ``repro.graphs.parity``
+as the oracles and the training suite's micro-benchmark baselines:
 
 * pools and weights from ``_pool_from_proximity`` must match the per-row
   reference **exactly** (the per-row argpartition/argsort calls are the same,
@@ -20,7 +20,7 @@ import pytest
 
 from repro.graphs.construction import FixedNeighborGraph, _pool_from_proximity
 from repro.graphs.proximity import BlockwiseProximity, combined_proximity
-from repro.perf import build_fused, build_reference, pool_reference, synthetic_graph_inputs
+from repro.graphs.parity import build_fused, build_reference, pool_reference, synthetic_graph_inputs
 
 
 def _random_proximity(rng, n):

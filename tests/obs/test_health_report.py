@@ -52,17 +52,23 @@ class TestBuildReport:
 
     def test_bench_delta_against_committed_baseline(self, fit_events, tmp_path):
         evts, snapshot = fit_events
-        (tmp_path / "BENCH_training.json").write_text(
-            json.dumps({"training": {"batches_per_sec": 100.0}, "meta": {"rmse": 0.9}})
-        )
+        (tmp_path / "BENCH_training.json").write_text(json.dumps({
+            "schema_version": 1, "suite": "training", "preset": "full", "ok": True,
+            "metrics": {"batches_per_sec": 100.0, "rmse": 0.9, "repeat_runs_bitwise_equal": True},
+        }))
         report = build_report(
             evts, snapshot=snapshot, bench_dir=tmp_path, observed={"rmse": 0.9}
         )
         entry = report["bench"]["BENCH_training.json"]
-        assert entry["present"]
-        assert entry["committed_batches_per_sec"] == 100.0
-        assert "throughput_delta_pct" in entry
-        assert entry["rmse_matches_committed"] is True
+        assert entry["present"] and entry["suite"] == "training"
+        assert entry["metrics"]["batches_per_sec"] == 100.0
+        throughput = entry["deltas"]["batches_per_sec"]
+        assert throughput["committed"] == 100.0
+        assert throughput["delta_pct"] == pytest.approx(
+            100.0 * (report["observed"]["batches_per_sec"] - 100.0) / 100.0
+        )
+        assert entry["deltas"]["rmse"]["equal"] is True
+        assert "repeat_runs_bitwise_equal" not in entry["deltas"]  # not observed
 
     def test_health_errors_flip_healthy(self):
         evts = [

@@ -9,7 +9,7 @@ import pytest
 from repro import nn, telemetry
 from repro.core import AGNN, AGNNConfig
 from repro.telemetry import report, span_summaries
-from repro.telemetry.bench import EXPECTED_SPAN_PATHS, run_telemetry_bench
+from repro.bench import EXPECTED_SPAN_PATHS, metered_fit
 from repro.train import TrainConfig
 
 pytestmark = pytest.mark.telemetry
@@ -77,11 +77,15 @@ class TestSnapshotSchema:
         assert all(isinstance(v, int) for v in loaded["counters"].values())
 
     def test_telemetry_bench_writes_the_baseline(self, tmp_path):
-        path = tmp_path / "BENCH_telemetry.json"
-        snap = run_telemetry_bench(epochs=1, output=str(path))
+        # the training suite's metered fit: its snapshot is the span/op
+        # section of BENCH_training.json and must survive JSON unchanged
+        fit, snap = metered_fit()
+        path = tmp_path / "snapshot.json"
+        path.write_text(json.dumps(snap))
         loaded = json.loads(path.read_text())
         assert loaded == snap
         assert set(loaded) == SNAPSHOT_KEYS
+        assert loaded["meta"]["epochs_trained"] == fit.history.num_epochs
         for expected in EXPECTED_SPAN_PATHS:
             assert expected in loaded["spans"], f"missing span path {expected}"
             assert loaded["spans"][expected]["total_s"] > 0.0

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro import bench
+from repro.bench import PRESETS, SUITES, default_output
 from repro.cli import available_models, build_parser, main, model_factory
 from repro.experiments.configs import get_scale
 
@@ -49,10 +51,14 @@ class TestParser:
             build_parser().parse_args(["serve"])
 
     def test_serving_bench_defaults(self):
-        args = build_parser().parse_args(["serving-bench"])
-        assert args.output == "BENCH_serving.json"
-        assert args.pairs == 200
-        assert args.scale == "smoke"
+        args = build_parser().parse_args(["bench", "serving"])
+        assert args.suite == "serving"
+        assert not args.check and not args.json
+        assert args.output is None
+        assert default_output(args.suite, args.check) == "BENCH_serving.json"
+        assert default_output("training", False) == "BENCH_training.json"
+        # a check run never overwrites the committed baseline by default
+        assert default_output("serving", True) is None
 
     def test_serve_batching_defaults(self):
         args = build_parser().parse_args(["serve", "--bundle", "bundles/x"])
@@ -66,22 +72,21 @@ class TestParser:
         assert args.no_batching
 
     def test_load_bench_defaults(self):
-        args = build_parser().parse_args(["load-bench"])
-        assert args.output == "BENCH_load.json"
-        assert args.concurrency == [1, 4, 16]
-        assert args.duration == pytest.approx(1.0)
-        assert args.rate == pytest.approx(300.0)
-        assert args.epochs == 2
-        assert not args.check
-        assert args.bundle is None
-        assert args.pairs_per_request == 16
-        assert args.dim == 40
-        assert args.tick_interval == 0.0
+        full = PRESETS["serving"]["full"]
+        assert full["concurrencies"] == (1, 4, 16)
+        assert full["duration_s"] == pytest.approx(1.0)
+        assert full["rate_rps"] == pytest.approx(300.0)
+        assert bench.PAIRS_PER_REQUEST == 16
+        assert bench.FIT_DIM == 40
+        assert bench.MAX_QUEUE_DEPTH == 4096
 
     def test_load_bench_custom_ramp(self):
-        args = build_parser().parse_args(["load-bench", "--concurrency", "2", "8", "--check"])
-        assert args.concurrency == [2, 8]
-        assert args.check
+        args = build_parser().parse_args(["bench", "serving", "--check", "--output", "x.json"])
+        assert args.check and args.output == "x.json"
+        check = PRESETS["serving"]["check"]
+        # the coalescing gate asserts its win at c=16, so the quick preset keeps it
+        assert max(check["concurrencies"]) == 16
+        assert check["duration_s"] < PRESETS["serving"]["full"]["duration_s"]
 
     def test_serve_workers_default_single_process(self):
         args = build_parser().parse_args(["serve", "--bundle", "bundles/x"])
@@ -92,21 +97,21 @@ class TestParser:
         assert args.workers == 4
 
     def test_load_bench_pool_defaults(self):
-        args = build_parser().parse_args(["load-bench"])
-        assert args.pool_workers == [1, 2, 4]
-        assert args.pool_concurrency == 8
-        assert not args.no_pool
+        for preset in ("full", "check"):
+            config = PRESETS["serving"][preset]
+            assert config["pool_workers"] == (1, 2, 4)
+            assert max(config["concurrencies"]) == 16  # the pool sweep runs at top c
 
     def test_load_bench_pool_flags(self):
-        args = build_parser().parse_args(
-            ["load-bench", "--pool-workers", "1", "8", "--pool-concurrency", "16"]
-        )
-        assert args.pool_workers == [1, 8]
-        assert args.pool_concurrency == 16
+        # presets are fixed: the old per-knob flags are gone
+        for flag in (["--pool-workers", "1", "8"], ["--concurrency", "2"], ["--epochs", "1"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["bench", "serving", *flag])
 
     def test_load_bench_no_pool(self):
-        args = build_parser().parse_args(["load-bench", "--no-pool"])
-        assert args.no_pool
+        for old in ("telemetry-bench", "train-bench", "graph-bench",
+                    "serving-bench", "load-bench", "refresh-bench"):
+            assert main([old]) == 2, old
 
     def test_refresh_defaults(self):
         args = build_parser().parse_args(["refresh", "--store", "stores/live"])
@@ -124,29 +129,30 @@ class TestParser:
             build_parser().parse_args(["refresh"])
 
     def test_refresh_bench_defaults(self):
-        args = build_parser().parse_args(["refresh-bench"])
-        assert args.output == "BENCH_refresh.json"
-        assert args.refresh_epochs is None
-        assert args.swap_threads == 4
-        assert args.swap_requests == 50
-        assert args.swaps == 6
-        assert not args.check
+        args = build_parser().parse_args(["bench", "refresh"])
+        assert args.suite == "refresh" and not args.check
+        full, check = PRESETS["refresh"]["full"], PRESETS["refresh"]["check"]
+        assert full["swap_threads"] == 4
+        assert full["swap_requests"] == 50
+        assert full["swaps"] == 6
+        assert full["min_speedup"] == pytest.approx(1.5)
+        assert full["refresh_epochs"] is None
+        assert check["swaps"] > 0 and check["swap_threads"] > 1
 
     def test_graph_bench_defaults(self):
-        args = build_parser().parse_args(["graph-bench"])
-        assert args.n_grid == "2000,8000,32000,100000"
-        assert args.exact_grid == "2000,4000,8000"
-        assert args.pool_size == 100
-        assert args.repeats == 2
-        assert args.seed == 0
-        assert args.output == "BENCH_training.json"
-        assert not args.json
+        args = build_parser().parse_args(["bench", "graphs", "--json"])
+        assert args.suite == "graphs" and args.json
+        full = PRESETS["graphs"]["full"]
+        assert full["n_grid"] == (2_000, 8_000, 32_000, 100_000)
+        assert full["exact_grid"] == (2_000, 4_000, 8_000)
+        assert full["pool_size"] == 100
+        assert full["repeats"] == 2
+        assert set(SUITES) == {"training", "graphs", "serving", "refresh"}
+        assert all(set(PRESETS[suite]) == {"full", "check"} for suite in SUITES)
 
     def test_graph_bench_rejects_bad_grid(self):
-        from repro.cli import main
-
-        assert main(["graph-bench", "--n-grid", "2000,oops"]) == 2
-
+        assert main(["bench", "nope"]) == 2
+        assert main(["bench"]) == 2
 
 class TestModelFactory:
     def test_agnn_variant(self):
