@@ -31,9 +31,9 @@ Suites:
   n = 10⁵ against the exact builder, log–log exponents, and the pool-overlap
   parity sweep;
 * ``serving`` — one trained bundle drives offline parity, cold and cached
-  latency, onboarding, an HTTP round trip, the direct-vs-coalesced closed and
-  open loops, the tracing phase and the worker-pool sweep
-  (primitives in :mod:`repro.serving.loadgen`);
+  latency (1-pair and 100-pair calls), onboarding, an HTTP round trip, the
+  direct-vs-coalesced closed and open loops, the tracing phase and the
+  worker-pool sweep (primitives in :mod:`repro.serving.loadgen`);
 * ``refresh`` — warm-start refresh vs a from-scratch fit, hot swap under
   load, and the rejection paths.
 """
@@ -155,9 +155,13 @@ OVERLAP_FLOOR = 0.95
 
 # Serving constants shared by both presets.  Each request scores a 16-pair
 # candidate set (the reranking shape a front-end sends); engines run with the
-# score cache off so the loops measure scoring, not the LRU; the coalescing
+# score cache off so the loops measure scoring, not the cache; the coalescing
 # engine drains adaptively (tick 0), the configuration its baseline pins.
 PAIRS_PER_REQUEST = 16
+#: the engine phase also times cold and cached calls of this many distinct
+#: pairs (the rerank shape: one candidate list per call), WIDE_CALLS of each
+WIDE_PAIRS = 100
+WIDE_CALLS = 40
 PARITY_PAIRS = 512
 MAX_BATCH_PAIRS = 8192
 MAX_QUEUE_DEPTH = 4096
@@ -463,11 +467,16 @@ def _get(url: str) -> Dict[str, Any]:
         return json.loads(response.read().decode("utf-8"))
 
 
-def _per_call_ms(engine: InferenceEngine, users: np.ndarray, items: np.ndarray) -> Dict[str, float]:
+def _per_call_ms(
+    engine: InferenceEngine, users: np.ndarray, items: np.ndarray, width: int = 1
+) -> Dict[str, float]:
+    """Latency of ``engine.score`` over consecutive ``width``-pair calls, each
+    given id lists as a JSON body delivers them."""
     samples = []
-    for u, i in zip(users.tolist(), items.tolist()):
+    for lo in range(0, len(users) - width + 1, width):
+        call_users, call_items = users[lo : lo + width].tolist(), items[lo : lo + width].tolist()
         start = time.perf_counter()
-        engine.score([u], [i])
+        engine.score(call_users, call_items)
         samples.append((time.perf_counter() - start) * 1e3)
     return summarise(samples)
 
@@ -481,6 +490,14 @@ def _engine_phase(fit: SmokeFit, bundle, pairs: int) -> Dict[str, Any]:
     online = engine.predict_batch(users, items)
     cold = _per_call_ms(engine, users, items)  # every pair a cache miss ...
     cached = _per_call_ms(engine, users, items)  # ... then every pair a hit
+    # The same on a fresh engine with WIDE_PAIRS-pair calls over distinct pairs.
+    wide_engine = InferenceEngine(bundle)
+    grid = np.random.default_rng(SEED).choice(
+        wide_engine.num_users * wide_engine.num_items, size=WIDE_PAIRS * WIDE_CALLS, replace=False
+    )
+    wide_users, wide_items = np.divmod(grid, wide_engine.num_items)
+    cold_wide = _per_call_ms(wide_engine, wide_users, wide_items, WIDE_PAIRS)
+    cached_wide = _per_call_ms(wide_engine, wide_users, wide_items, WIDE_PAIRS)
 
     new_user = engine.add_user(bundle.user_attributes[0])
     new_item = engine.add_item(bundle.item_attributes[0])
@@ -507,6 +524,8 @@ def _engine_phase(fit: SmokeFit, bundle, pairs: int) -> Dict[str, Any]:
         "score_cold_ms": cold,
         "score_cached_ms": cached,
         "cached_speedup": cold["median"] / max(cached["median"], 1e-9),
+        "score_cold_100_ms": cold_wide,
+        "score_cached_100_ms": cached_wide,
         "onboarded_user": int(new_user),
         "onboarded_item": int(new_item),
         "onboard_cross_score": float(engine.score([new_user], [new_item])[0]),
@@ -630,6 +649,8 @@ def _run_serving(
         "score_cold_p50_ms": engine_phase["score_cold_ms"]["median"],
         "score_cached_p50_ms": engine_phase["score_cached_ms"]["median"],
         "cached_speedup": engine_phase["cached_speedup"],
+        "score_cold_100_p50_ms": engine_phase["score_cold_100_ms"]["median"],
+        "score_cached_100_p50_ms": engine_phase["score_cached_100_ms"]["median"],
         "batched_max_abs_diff": load["parity"]["max_abs_diff"],
         "top_concurrency": int(top),
         "direct_throughput_rps": direct["throughput_rps"],

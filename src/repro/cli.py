@@ -36,6 +36,7 @@ from .core import ALL_VARIANTS, AGNN, agnn_variant
 from .experiments.configs import get_scale
 from .experiments.replicates import run_replicates
 from .experiments.runner import run_model
+from .serving.engine import DEFAULT_CACHE_SIZE
 from .train import Recommender, TrainConfig
 
 __all__ = ["main", "build_parser", "available_models", "model_factory"]
@@ -105,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--bundle", required=True, help="bundle directory from export-bundle")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080, help="0 picks an ephemeral port")
-    serve.add_argument("--cache-size", type=int, default=100_000, help="LRU score-cache capacity")
+    serve.add_argument("--cache-size", type=int, default=DEFAULT_CACHE_SIZE,
+                       help="LRU score-cache capacity in (user, item) pairs")
     serve.add_argument("--verbose", action="store_true", help="log each HTTP request")
     serve.add_argument("--no-batching", action="store_true",
                        help="serve each request directly instead of through the "

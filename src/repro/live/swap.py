@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from ..serving.bundle import ServingBundle
-from ..serving.engine import InferenceEngine
+from ..serving.engine import DEFAULT_CACHE_SIZE, InferenceEngine
 from ..telemetry import events, increment, span
 
 __all__ = ["SwapValidationError", "SwapReport", "validate_engine", "swap_bundle"]
@@ -83,7 +83,7 @@ def validate_engine(engine: InferenceEngine, pairs: int = 32, seed: int = 0) -> 
 def swap_bundle(
     target,
     bundle: ServingBundle,
-    cache_size: int = 100_000,
+    cache_size: int = DEFAULT_CACHE_SIZE,
     validate_pairs: int = 32,
 ) -> SwapReport:
     """Build, validate, and atomically install a new bundle on ``target``.

@@ -39,9 +39,15 @@ from ..telemetry import events, increment, set_gauge, span
 from .bundle import ServingBundle
 from .onboarding import encode_attribute_row, splice_neighbours
 
-__all__ = ["InferenceEngine"]
+__all__ = ["DEFAULT_CACHE_SIZE", "InferenceEngine"]
 
 _SIDES = ("user", "item")
+
+#: Score-cache capacity in (user, item) pairs.  An LRU entry costs ~240 B of
+#: Python objects and ~400 B of process memory, so a full cache holds ~4 MB
+#: in each engine (one per serving worker).  Random rerank traffic repeats
+#: few pairs, so a larger cache buys little but memory.
+DEFAULT_CACHE_SIZE = 10_000
 
 
 def _take_rows(matrix: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -81,7 +87,7 @@ class InferenceEngine:
     def __init__(
         self,
         bundle: ServingBundle,
-        cache_size: int = 100_000,
+        cache_size: int = DEFAULT_CACHE_SIZE,
         batch_size: int = 2048,
     ) -> None:
         if cache_size < 0:

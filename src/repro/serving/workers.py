@@ -61,6 +61,7 @@ import numpy as np
 from ..telemetry import events, increment, record_timing, set_gauge, span, tracing
 from ..telemetry.export import worker_snapshot
 from .batching import BatchingEngine, EngineOverloadedError
+from .engine import DEFAULT_CACHE_SIZE
 
 __all__ = ["WorkerPool", "WorkerCrashedError", "PoolStoppedError"]
 
@@ -296,7 +297,7 @@ class WorkerPool:
         self,
         bundle_path: PathLike,
         workers: int = 2,
-        cache_size: int = 100_000,
+        cache_size: int = DEFAULT_CACHE_SIZE,
         batch_size: int = 2048,
         max_batch_pairs: int = 8192,
         max_queue_depth: int = 1024,

@@ -1,6 +1,9 @@
 """HTTP front-end on an ephemeral localhost port."""
 
+import http.client
 import json
+import socket
+import statistics
 import threading
 import time
 import urllib.error
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.serving import BatchingEngine, InferenceEngine, make_server
+from repro.serving.server import MAX_BODY_BYTES, _Handler
 
 pytestmark = pytest.mark.serving
 
@@ -367,3 +371,82 @@ class TestShutdownDrain:
         server.server_close()
         client_thread.join(timeout=10)
         thread.join(timeout=10)
+
+
+class TestKeepAlive:
+    """Several requests on one connection: framing and the wire-speed floor."""
+
+    def _connection(self, server):
+        return http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+
+    def _post(self, conn, path, payload):
+        conn.request(
+            "POST", path, body=json.dumps(payload), headers={"Content-Type": "application/json"}
+        )
+        response = conn.getresponse()
+        return response.status, json.loads(response.read().decode("utf-8"))
+
+    def test_unread_body_does_not_desync_the_next_request(self, server, engine):
+        """Regression: a 404 sent before the body was read left that body in
+        the stream, and the next request was parsed from it (an HTML 400)."""
+        conn = self._connection(server)
+        try:
+            status, _ = self._post(conn, "/nope", {"users": [0], "items": [1]})
+            assert status == 404
+            status, body = self._post(conn, "/score", {"users": [0], "items": [1]})
+            assert status == 200
+            assert body["scores"] == engine.score([0], [1]).tolist()
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize(
+        "framing, status",
+        [
+            (f"Content-Length: {MAX_BODY_BYTES + 1}", 413),
+            ("Content-Length: nine", 400),
+            ("Transfer-Encoding: chunked", 400),
+        ],
+    )
+    def test_unskippable_body_closes_the_connection(self, server, framing, status):
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(f"POST /score HTTP/1.1\r\nHost: x\r\n{framing}\r\n\r\n".encode())
+            reply = b""
+            while chunk := sock.recv(65536):  # b"" once the server closes
+                reply += chunk
+        head = reply.split(b"\r\n\r\n")[0]
+        assert head.startswith(f"HTTP/1.1 {status}".encode())
+        assert b"Connection: close" in head
+
+    def test_accepted_sockets_set_tcp_nodelay(self, server, monkeypatch):
+        nodelay = []
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        conn = self._connection(server)
+        try:
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().read()
+        finally:
+            conn.close()
+        assert nodelay and all(nodelay)
+
+    def test_keepalive_round_trips_are_not_held_by_nagle(self, server):
+        """Headers and body are two writes: with Nagle on, the body waits for
+        the client's delayed ACK (>= 40 ms a round trip); with TCP_NODELAY a
+        round trip costs ~1 ms."""
+        conn = self._connection(server)
+        samples = []
+        try:
+            for round_trip in range(30):
+                payload = {"users": [round_trip % 5] * 10, "items": list(range(10))}
+                start = time.perf_counter()
+                status, _ = self._post(conn, "/score", payload)
+                samples.append(time.perf_counter() - start)
+                assert status == 200
+        finally:
+            conn.close()
+        assert statistics.median(samples) < 0.010

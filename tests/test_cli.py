@@ -7,6 +7,7 @@ import pytest
 from repro import bench
 from repro.bench import PRESETS, SUITES, default_output
 from repro.cli import available_models, build_parser, main, model_factory
+from repro.serving.engine import DEFAULT_CACHE_SIZE
 from repro.experiments.configs import get_scale
 
 
@@ -43,7 +44,7 @@ class TestParser:
         args = build_parser().parse_args(["serve", "--bundle", "bundles/x"])
         assert args.host == "127.0.0.1"
         assert args.port == 8080
-        assert args.cache_size == 100_000
+        assert args.cache_size == DEFAULT_CACHE_SIZE
         assert not args.verbose
 
     def test_serve_requires_bundle(self):
